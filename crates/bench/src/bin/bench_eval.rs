@@ -4,25 +4,19 @@
 //! (how few nodes each recovery session re-examines compared to a full
 //! Dijkstra over the whole graph — the driver's allocation/work saving).
 //!
-//! The serial measurement is taken once per shortest-path queue kernel
-//! (`serial_secs_heap` vs `serial_secs_bucket`) and the phase-1 boundary
-//! sweep once per crossing-mask kernel (`sweep_secs_scalar` vs
-//! `sweep_secs_batched`, plus `sweep_secs_simd` when built with
-//! `--features simd`); `serial_secs` and `sweep_secs` always alias the
-//! default kernel's column, so downstream tooling keeps one stable name
-//! for "what the driver actually runs".
+//! `sweep_secs` times the phase-1 boundary sweeps alone, the share of
+//! `serial_secs` spent in the crossing-exclusion probes and the walk.
 //!
 //! Run through `cargo xtask bench-record`, which places the artifact at
 //! the repository root. Timings are medians of [`RUNS`] runs; the file
 //! also records the host's available parallelism so speedups on small
 //! machines read honestly.
 
-use rtr_core::{RtrSession, SessionPool, SweepKernel};
+use rtr_core::{RtrSession, SessionPool};
 use rtr_eval::baseline::Baseline;
 use rtr_eval::json::Json;
 use rtr_eval::testcase::{generate_workload_shared, Workload};
 use rtr_eval::{config::ExperimentConfig, driver, par};
-use rtr_routing::{Kernels, QueueKernel};
 use rtr_topology::{isp, NodeId};
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -51,10 +45,9 @@ fn median_secs(w: &Workload, cfg: &ExperimentConfig) -> f64 {
 
 /// Median wall time of re-running every phase-1 boundary sweep of the
 /// workload (one session start per unique initiator, pooled buffers as in
-/// the driver) with the given crossing-mask kernel — the
-/// `SweepContext::is_excluded` hot path in isolation.
-fn median_sweep_secs(w: &Workload, sweep: SweepKernel) -> f64 {
-    let pool = SessionPool::with_kernels(Kernels::default(), sweep);
+/// the driver) — the `SweepContext::is_excluded` hot path in isolation.
+fn median_sweep_secs(w: &Workload) -> f64 {
+    let pool = SessionPool::new();
     let mut secs: Vec<f64> = (0..RUNS)
         .map(|_| {
             let t = Instant::now();
@@ -142,66 +135,27 @@ fn main() {
             serial_cfg.seed ^ u64::from(p.asn),
         );
 
-        // One serial measurement per queue kernel; the unsuffixed column
-        // aliases whatever `Kernels::default()` selects.
-        let serial_heap = median_secs(
-            &w,
-            &serial_cfg.clone().with_kernels(Kernels {
-                queue: QueueKernel::Heap,
-            }),
-        );
-        let serial_bucket = median_secs(
-            &w,
-            &serial_cfg.clone().with_kernels(Kernels {
-                queue: QueueKernel::Bucket,
-            }),
-        );
-        let serial = match Kernels::default().queue {
-            QueueKernel::Heap => serial_heap,
-            QueueKernel::Bucket => serial_bucket,
-        };
+        let serial = median_secs(&w, &serial_cfg);
         let parallel = median_secs(&w, &serial_cfg.clone().with_threads(par_threads));
-
-        // One boundary-sweep measurement per crossing-mask kernel.
-        let sweep_scalar = median_sweep_secs(&w, SweepKernel::Scalar);
-        let sweep_batched = median_sweep_secs(&w, SweepKernel::Batched);
-        #[cfg(feature = "simd")]
-        let sweep_simd = median_sweep_secs(&w, SweepKernel::Simd);
-        let sweep = match SweepKernel::default() {
-            SweepKernel::Scalar => sweep_scalar,
-            SweepKernel::Batched => sweep_batched,
-            #[cfg(feature = "simd")]
-            SweepKernel::Simd => sweep_simd,
-        };
-
+        let sweep = median_sweep_secs(&w);
         let touched = mean_nodes_touched(&w);
         eprintln!(
-            "[bench_eval] {:>8}: serial {serial:.4}s (heap {serial_heap:.4}s, bucket \
-             {serial_bucket:.4}s), {par_threads} threads {parallel:.4}s (x{:.2}), sweep \
-             {sweep:.4}s (scalar {sweep_scalar:.4}s, batched {sweep_batched:.4}s), \
-             mean nodes touched {touched:.1}/{}",
+            "[bench_eval] {:>8}: serial {serial:.4}s, {par_threads} threads {parallel:.4}s \
+             (x{:.2}), sweep {sweep:.4}s, mean nodes touched {touched:.1}/{}",
             p.name,
             serial / parallel,
             p.nodes
         );
-        #[cfg_attr(not(feature = "simd"), allow(unused_mut))]
-        let mut row = vec![
+        rows.push(Json::Obj(vec![
             ("name", Json::Str(p.name.to_string())),
             ("nodes", Json::Num(p.nodes as f64)),
             ("links", Json::Num(p.links as f64)),
             ("serial_secs", Json::Num(serial)),
-            ("serial_secs_heap", Json::Num(serial_heap)),
-            ("serial_secs_bucket", Json::Num(serial_bucket)),
             ("parallel_secs", Json::Num(parallel)),
             ("speedup", Json::Num(serial / parallel)),
             ("sweep_secs", Json::Num(sweep)),
-            ("sweep_secs_scalar", Json::Num(sweep_scalar)),
-            ("sweep_secs_batched", Json::Num(sweep_batched)),
             ("mean_nodes_touched", Json::Num(touched)),
-        ];
-        #[cfg(feature = "simd")]
-        row.push(("sweep_secs_simd", Json::Num(sweep_simd)));
-        rows.push(Json::Obj(row));
+        ]));
     }
 
     let report = Json::Obj(vec![

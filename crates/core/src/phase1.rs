@@ -17,7 +17,7 @@
 //! initiator's sweep re-selects its original first hop (§III-C step 3).
 
 use crate::error::Phase1Error;
-use crate::sweep::{select_next_hop, SweepContext, SweepKernel};
+use crate::sweep::{select_next_hop, SweepContext};
 use rtr_obs::{Event, NoopSink, TraceSink};
 use rtr_sim::{CollectionHeader, ForwardingTrace};
 use rtr_topology::{CrossLinkTable, GraphView, LinkId, NodeId, Topology};
@@ -77,40 +77,17 @@ pub fn collect_failure_info(
     initiator: NodeId,
     failed_default_link: LinkId,
 ) -> Result<Phase1Result, Phase1Error> {
-    collect_failure_info_with(
-        topo,
-        crosslinks,
-        view,
-        initiator,
-        failed_default_link,
-        SweepKernel::default(),
-    )
-}
-
-/// [`collect_failure_info`] with an explicit crossing-mask [`SweepKernel`]
-/// for the exclusion probes of every sweep on the walk. The kernel affects
-/// only throughput — every kernel computes the same predicate, so the walk
-/// (and therefore the whole recovery) is byte-identical across kernels.
-pub fn collect_failure_info_with(
-    topo: &Topology,
-    crosslinks: &CrossLinkTable,
-    view: &impl GraphView,
-    initiator: NodeId,
-    failed_default_link: LinkId,
-    sweep: SweepKernel,
-) -> Result<Phase1Result, Phase1Error> {
     collect_failure_info_traced(
         topo,
         crosslinks,
         view,
         initiator,
         failed_default_link,
-        sweep,
         &mut NoopSink,
     )
 }
 
-/// [`collect_failure_info_with`] with an observability [`TraceSink`].
+/// [`collect_failure_info`] with an observability [`TraceSink`].
 ///
 /// Emits [`Event::SweepHop`] once per recorded hop (so the event count
 /// equals [`ForwardingTrace::hops`]), [`Event::CrossLinkExcluded`] /
@@ -128,7 +105,6 @@ pub fn collect_failure_info_traced<S: TraceSink>(
     view: &impl GraphView,
     initiator: NodeId,
     failed_default_link: LinkId,
-    sweep: SweepKernel,
     sink: &mut S,
 ) -> Result<Phase1Result, Phase1Error> {
     if !topo.link(failed_default_link).is_incident_to(initiator) {
@@ -159,7 +135,7 @@ pub fn collect_failure_info_traced<S: TraceSink>(
     let mut trace = ForwardingTrace::start(initiator, header.overhead_bytes());
 
     // First hop: sweep from the failed default next hop. The context is
-    // rebuilt per selection (three pointer copies) because the header's
+    // rebuilt per selection (two pointer copies) because the header's
     // excluded set may grow after each one.
     let sweep_ref = topo.link(failed_default_link).other_end(initiator);
     let Some(first_hop) = select_next_hop(
@@ -167,11 +143,11 @@ pub fn collect_failure_info_traced<S: TraceSink>(
         view,
         initiator,
         sweep_ref,
-        &SweepContext::with_kernel(crosslinks, header.cross_links(), sweep),
+        &SweepContext::new(crosslinks, header.cross_links()),
     ) else {
         return Err(Phase1Error::NoLiveNeighbor { initiator });
     };
-    record_selection_crossing(crosslinks, &mut header, first_hop.1, sweep, sink);
+    record_selection_crossing(crosslinks, &mut header, first_hop.1, sink);
 
     // Defensive bound: Theorem 1 shows each link is traversed at most a
     // constant number of times; 4·m + 8 is far beyond any legal walk.
@@ -193,7 +169,7 @@ pub fn collect_failure_info_traced<S: TraceSink>(
                 view,
                 cur,
                 prev,
-                &SweepContext::with_kernel(crosslinks, header.cross_links(), sweep),
+                &SweepContext::new(crosslinks, header.cross_links()),
             ) else {
                 // A live neighbor vanishing mid-walk cannot happen in a
                 // static scenario: the previous hop is always eligible.
@@ -207,7 +183,7 @@ pub fn collect_failure_info_traced<S: TraceSink>(
                     first_hop,
                 });
             }
-            record_selection_crossing(crosslinks, &mut header, next.1, sweep, sink);
+            record_selection_crossing(crosslinks, &mut header, next.1, sink);
             prev = cur;
             cur = next.0;
             trace.record_hop(cur, header.overhead_bytes());
@@ -234,11 +210,11 @@ pub fn collect_failure_info_traced<S: TraceSink>(
             view,
             cur,
             prev,
-            &SweepContext::with_kernel(crosslinks, header.cross_links(), sweep),
+            &SweepContext::new(crosslinks, header.cross_links()),
         ) else {
             return Err(Phase1Error::WalkStuck { at: cur });
         };
-        record_selection_crossing(crosslinks, &mut header, next.1, sweep, sink);
+        record_selection_crossing(crosslinks, &mut header, next.1, sink);
         prev = cur;
         cur = next.0;
         trace.record_hop(cur, header.overhead_bytes());
@@ -263,13 +239,12 @@ fn record_selection_crossing<S: TraceSink>(
     crosslinks: &CrossLinkTable,
     header: &mut CollectionHeader,
     link: LinkId,
-    sweep: SweepKernel,
     sink: &mut S,
 ) {
     if header.cross_links().contains(link) {
         return;
     }
-    let ctx = SweepContext::with_kernel(crosslinks, header.cross_links(), sweep);
+    let ctx = SweepContext::new(crosslinks, header.cross_links());
     let threatened = crosslinks
         .crossings_of(link)
         .iter()
@@ -406,16 +381,7 @@ mod tests {
         let s = FailureScenario::from_parts(&topo, [NodeId(0)], []);
         let spoke = topo.link_between(NodeId(1), NodeId(0)).unwrap();
         let mut sink = rtr_obs::CollectingSink::new();
-        let r = collect_failure_info_traced(
-            &topo,
-            &xl,
-            &s,
-            NodeId(1),
-            spoke,
-            SweepKernel::default(),
-            &mut sink,
-        )
-        .unwrap();
+        let r = collect_failure_info_traced(&topo, &xl, &s, NodeId(1), spoke, &mut sink).unwrap();
         // One SweepHop per recorded hop.
         let hops = sink
             .events()
@@ -516,18 +482,6 @@ pub fn collect_failure_info_thorough(
     view: &impl GraphView,
     initiator: NodeId,
 ) -> Result<ThoroughCollection, Phase1Error> {
-    collect_failure_info_thorough_with(topo, crosslinks, view, initiator, SweepKernel::default())
-}
-
-/// [`collect_failure_info_thorough`] with an explicit crossing-mask
-/// [`SweepKernel`] threaded through every per-neighbor sweep.
-pub fn collect_failure_info_thorough_with(
-    topo: &Topology,
-    crosslinks: &CrossLinkTable,
-    view: &impl GraphView,
-    initiator: NodeId,
-    sweep: SweepKernel,
-) -> Result<ThoroughCollection, Phase1Error> {
     let dead: Vec<LinkId> = topo
         .neighbors(initiator)
         .iter()
@@ -541,7 +495,7 @@ pub fn collect_failure_info_thorough_with(
     let mut header = CollectionHeader::new(initiator);
     let mut total_hops = 0;
     for &l in &dead {
-        let r = collect_failure_info_with(topo, crosslinks, view, initiator, l, sweep)?;
+        let r = collect_failure_info(topo, crosslinks, view, initiator, l)?;
         total_hops += r.trace.hops();
         for f in r.header.failed_links() {
             header.record_failed_link(f);

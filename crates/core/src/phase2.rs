@@ -9,19 +9,13 @@
 //! per-test-case computational overhead is exactly one shortest-path
 //! calculation — the paper's Table III/IV "RTR = 1" column.
 
-use crate::sweep::SweepKernel;
 use rtr_obs::{DiscardReason, Event, NoopSink, TraceSink};
-use rtr_routing::{IncrementalSpt, Kernels, Path, SourceRoute, SptScratch, BYTES_PER_HOP};
+use rtr_routing::{IncrementalSpt, Path, SourceRoute, SptScratch, BYTES_PER_HOP};
 use rtr_sim::{CollectionHeader, ForwardingTrace, LinkIdSet};
 use rtr_topology::{FullView, GraphView, LinkId, NodeId, Topology};
 
 /// Reusable buffers for building [`RecoveryComputer`]s without per-case
-/// allocations: the SPT label/repair buffers plus the path cache. The
-/// scratch also pins the kernel selection for every session built from it —
-/// the queue [`Kernels`] ride inside the embedded [`SptScratch`], and the
-/// crossing-mask [`SweepKernel`] is read by
-/// [`RtrSession::start_in`](crate::RtrSession::start_in) for the phase-1
-/// walk.
+/// allocations: the SPT label/repair buffers plus the path cache.
 ///
 /// The evaluation driver holds one per worker and recycles it through every
 /// case of a topology sweep (see [`RecoveryComputer::recycle`]).
@@ -29,28 +23,6 @@ use rtr_topology::{FullView, GraphView, LinkId, NodeId, Topology};
 pub struct RecoveryScratch {
     spt: SptScratch,
     cache: Vec<Option<Option<Path>>>,
-    sweep: SweepKernel,
-}
-
-impl RecoveryScratch {
-    /// A scratch whose sessions run with explicit queue and sweep kernels.
-    pub fn with_kernels(kernels: Kernels, sweep: SweepKernel) -> Self {
-        RecoveryScratch {
-            spt: SptScratch::with_kernels(kernels),
-            cache: Vec::new(),
-            sweep,
-        }
-    }
-
-    /// The shortest-path queue kernels sessions built from this scratch use.
-    pub fn kernels(&self) -> Kernels {
-        self.spt.kernels()
-    }
-
-    /// The crossing-mask kernel phase-1 walks from this scratch use.
-    pub fn sweep_kernel(&self) -> SweepKernel {
-        self.sweep
-    }
 }
 
 /// The recovery initiator's post-collection view and path cache.

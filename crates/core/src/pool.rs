@@ -3,12 +3,10 @@
 //! [`IncrementalSpt`] rebuilds, and [`RecoveryScratch`] +
 //! [`RtrSession::start_in`]/`recycle`.
 //!
-//! A [`SessionPool`] owns freelists of all three buffer kinds plus one
-//! kernel configuration ([`Kernels`] for the shortest-path queues,
-//! [`SweepKernel`] for the phase-1 crossing probes). Checkouts hand back
-//! RAII guards that deref to the live object and return the buffers to the
-//! pool on drop — callers never pair a `take` with a `recycle` by hand, and
-//! every computation drawn from one pool runs with the same kernels.
+//! A [`SessionPool`] owns freelists of all three buffer kinds. Checkouts
+//! hand back RAII guards that deref to the live object and return the
+//! buffers to the pool on drop — callers never pair a `take` with a
+//! `recycle` by hand.
 //!
 //! The pool is single-threaded by design (`RefCell` freelists): the
 //! scenario-parallel driver builds one pool per worker, mirroring the
@@ -17,8 +15,7 @@
 use crate::error::Phase1Error;
 use crate::phase2::RecoveryScratch;
 use crate::recovery::RtrSession;
-use crate::sweep::SweepKernel;
-use rtr_routing::{DijkstraScratch, IncrementalSpt, Kernels, SptScratch};
+use rtr_routing::{DijkstraScratch, IncrementalSpt, SptScratch};
 use rtr_topology::{CrossLinkTable, GraphView, LinkId, LinkMask, NodeId, Topology};
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
@@ -42,23 +39,13 @@ pub struct SchemeScratch {
 }
 
 impl SchemeScratch {
-    /// Fresh buffers with default kernels.
+    /// Fresh buffers; they grow on first use.
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Fresh buffers pinned to a kernel selection.
-    pub fn with_kernels(kernels: Kernels, sweep: SweepKernel) -> Self {
-        SchemeScratch {
-            recovery: RecoveryScratch::with_kernels(kernels, sweep),
-            sp: DijkstraScratch::with_kernels(kernels),
-            mask: LinkMask::default(),
-        }
-    }
 }
 
-/// A per-worker pool of recovery-session, Dijkstra, and SPT buffers, all
-/// preconfigured with one kernel selection.
+/// A per-worker pool of recovery-session, Dijkstra, and SPT buffers.
 ///
 /// # Examples
 ///
@@ -79,8 +66,6 @@ impl SchemeScratch {
 /// ```
 #[derive(Debug, Default)]
 pub struct SessionPool {
-    kernels: Kernels,
-    sweep: SweepKernel,
     recovery: RefCell<Vec<RecoveryScratch>>,
     dijkstra: RefCell<Vec<DijkstraScratch>>,
     spt: RefCell<Vec<SptScratch>>,
@@ -88,29 +73,9 @@ pub struct SessionPool {
 }
 
 impl SessionPool {
-    /// An empty pool using the default kernels.
+    /// An empty pool; buffers are allocated on first checkout.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty pool whose checkouts all run with `kernels` (shortest-path
-    /// queues) and `sweep` (phase-1 crossing-mask probes).
-    pub fn with_kernels(kernels: Kernels, sweep: SweepKernel) -> Self {
-        SessionPool {
-            kernels,
-            sweep,
-            ..Self::default()
-        }
-    }
-
-    /// The shortest-path queue kernels this pool's checkouts use.
-    pub fn kernels(&self) -> Kernels {
-        self.kernels
-    }
-
-    /// The crossing-mask kernel this pool's phase-1 walks use.
-    pub fn sweep_kernel(&self) -> SweepKernel {
-        self.sweep
     }
 
     /// Starts an [`RtrSession`] from pooled buffers. The returned guard
@@ -128,11 +93,7 @@ impl SessionPool {
         initiator: NodeId,
         failed_default_link: LinkId,
     ) -> Result<PooledSession<'p, 'a, V>, Phase1Error> {
-        let mut scratch = self
-            .recovery
-            .borrow_mut()
-            .pop()
-            .unwrap_or_else(|| RecoveryScratch::with_kernels(self.kernels, self.sweep));
+        let mut scratch = self.recovery.borrow_mut().pop().unwrap_or_default();
         match RtrSession::start_in(
             topo,
             crosslinks,
@@ -174,11 +135,7 @@ impl SessionPool {
         initiator: NodeId,
         failed_default_link: LinkId,
     ) -> Result<PooledSession<'p, 'a, V>, Phase1Error> {
-        let mut scratch = self
-            .recovery
-            .borrow_mut()
-            .pop()
-            .unwrap_or_else(|| RecoveryScratch::with_kernels(self.kernels, self.sweep));
+        let mut scratch = self.recovery.borrow_mut().pop().unwrap_or_default();
         match RtrSession::start_based_traced_in(
             topo,
             crosslinks,
@@ -207,11 +164,7 @@ impl SessionPool {
     /// once (the driver holds one for the optimal baseline and one for MRC
     /// simultaneously); each returns to the freelist on drop.
     pub fn dijkstra(&self) -> DijkstraLease<'_> {
-        let scratch = self
-            .dijkstra
-            .borrow_mut()
-            .pop()
-            .unwrap_or_else(|| DijkstraScratch::with_kernels(self.kernels));
+        let scratch = self.dijkstra.borrow_mut().pop().unwrap_or_default();
         DijkstraLease {
             pool: self,
             scratch: Some(scratch),
@@ -227,11 +180,7 @@ impl SessionPool {
         view: &impl GraphView,
         source: NodeId,
     ) -> SptLease<'p, 'a> {
-        let scratch = self
-            .spt
-            .borrow_mut()
-            .pop()
-            .unwrap_or_else(|| SptScratch::with_kernels(self.kernels));
+        let scratch = self.spt.borrow_mut().pop().unwrap_or_default();
         SptLease {
             pool: self,
             spt: Some(IncrementalSpt::with_view_in(topo, view, source, scratch)),
@@ -260,11 +209,7 @@ impl SessionPool {
     /// drop(again);
     /// ```
     pub fn scheme_scratch(&self) -> SchemeLease<'_> {
-        let scratch = self
-            .scheme
-            .borrow_mut()
-            .pop()
-            .unwrap_or_else(|| SchemeScratch::with_kernels(self.kernels, self.sweep));
+        let scratch = self.scheme.borrow_mut().pop().unwrap_or_default();
         SchemeLease {
             pool: self,
             scratch: Some(scratch),
@@ -399,7 +344,6 @@ impl Drop for SptLease<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtr_routing::QueueKernel;
     use rtr_topology::{generate, FailureScenario, FullView};
 
     fn grid_case() -> (Topology, CrossLinkTable, FailureScenario, NodeId, LinkId) {
@@ -420,8 +364,8 @@ mod tests {
             assert!(session.recover(NodeId(5)).is_delivered());
         }
         assert_eq!(pool.recovery.borrow().len(), 1, "buffers returned on drop");
-        // The recycled scratch (and its kernels) is reused by the next
-        // checkout instead of growing the freelist.
+        // The recycled scratch is reused by the next checkout instead of
+        // growing the freelist.
         {
             let _again = pool.start_session(&topo, &xl, &s, init, failed).unwrap();
             assert_eq!(pool.recovery.borrow().len(), 0);
@@ -442,15 +386,9 @@ mod tests {
     #[test]
     fn concurrent_dijkstra_leases_are_independent() {
         let (topo, _, s, _, _) = grid_case();
-        let pool = SessionPool::with_kernels(
-            Kernels {
-                queue: QueueKernel::Heap,
-            },
-            SweepKernel::Scalar,
-        );
+        let pool = SessionPool::new();
         let mut a = pool.dijkstra();
         let mut b = pool.dijkstra();
-        assert_eq!(a.kernels().queue, QueueKernel::Heap);
         let da = a.run(&topo, &s, NodeId(0)).distance(NodeId(8));
         let db = b.run(&topo, &FullView, NodeId(0)).distance(NodeId(8));
         // Failed centre forces the longer way around.
@@ -492,19 +430,5 @@ mod tests {
             assert_eq!(pool.scheme.borrow().len(), 0, "freelist reused");
         }
         assert_eq!(pool.scheme.borrow().len(), 1);
-    }
-
-    #[test]
-    fn pool_pins_kernels_on_fresh_scratches() {
-        let pool = SessionPool::with_kernels(
-            Kernels {
-                queue: QueueKernel::Bucket,
-            },
-            SweepKernel::Batched,
-        );
-        assert_eq!(pool.kernels().queue, QueueKernel::Bucket);
-        assert_eq!(pool.sweep_kernel(), SweepKernel::Batched);
-        let lease = pool.dijkstra();
-        assert_eq!(lease.kernels().queue, QueueKernel::Bucket);
     }
 }

@@ -74,8 +74,7 @@ impl<'a, V: GraphView> RtrSession<'a, V> {
 
     /// Like [`start`](Self::start), but builds the recovery computer from
     /// recycled buffers (see [`RecoveryScratch`]) so the evaluation hot
-    /// loop starts sessions without transient allocations, and runs both
-    /// phases with the kernels the scratch was configured with. Hand the
+    /// loop starts sessions without transient allocations. Hand the
     /// buffers back with [`recycle`](Self::recycle) when the session is
     /// done. When phase 1 fails, `scratch` is left untouched.
     ///
@@ -124,7 +123,6 @@ impl<'a, V: GraphView> RtrSession<'a, V> {
             view,
             initiator,
             failed_default_link,
-            scratch.sweep_kernel(),
             sink,
         )?;
         let computer =
@@ -167,7 +165,6 @@ impl<'a, V: GraphView> RtrSession<'a, V> {
             view,
             initiator,
             failed_default_link,
-            scratch.sweep_kernel(),
             sink,
         )?;
         let computer = RecoveryComputer::new_based_traced_in(

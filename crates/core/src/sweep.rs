@@ -15,45 +15,24 @@ use rtr_sim::LinkIdSet;
 use rtr_topology::geometry::ccw_angle;
 use rtr_topology::{CrossLinkTable, GraphView, LinkId, NodeId, Topology};
 
-/// The intersection kernel used by [`SweepContext::is_excluded`]: scalar,
-/// portable 4×u64 batched, or (behind the `simd` feature) explicit AVX2.
-/// Re-exported from [`rtr_topology::kernels`], the single implementation
-/// site of all three lanes.
-pub use rtr_topology::MaskKernel as SweepKernel;
-
 /// Borrowed context for the crossing-exclusion probes of one sweep: the
-/// precomputed [`CrossLinkTable`], the packet's current excluded set, and
-/// the [`SweepKernel`] to run the word-AND with.
+/// precomputed [`CrossLinkTable`] and the packet's current excluded set.
 ///
-/// Constructing one is three pointer copies; phase 1 builds a fresh
-/// context per selection because the header's excluded set grows between
-/// selections. Holding the pieces together makes the kernel swap a single
-/// impl site ([`is_excluded`](Self::is_excluded)) instead of per-call
-/// argument plumbing.
+/// Constructing one is two pointer copies; phase 1 builds a fresh context
+/// per selection because the header's excluded set grows between
+/// selections.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepContext<'a> {
     crosslinks: &'a CrossLinkTable,
     excluded: &'a LinkIdSet,
-    kernel: SweepKernel,
 }
 
 impl<'a> SweepContext<'a> {
-    /// A context probing `excluded` against `crosslinks` with the default
-    /// kernel.
+    /// A context probing `excluded` against `crosslinks`.
     pub fn new(crosslinks: &'a CrossLinkTable, excluded: &'a LinkIdSet) -> Self {
-        Self::with_kernel(crosslinks, excluded, SweepKernel::default())
-    }
-
-    /// Like [`new`](Self::new), with an explicit kernel.
-    pub fn with_kernel(
-        crosslinks: &'a CrossLinkTable,
-        excluded: &'a LinkIdSet,
-        kernel: SweepKernel,
-    ) -> Self {
         SweepContext {
             crosslinks,
             excluded,
-            kernel,
         }
     }
 
@@ -71,15 +50,14 @@ impl<'a> SweepContext<'a> {
     /// set (and therefore must not be selected by the sweep).
     ///
     /// On dense-mask tables this is word-parallel — the excluded set's
-    /// bitset is ANDed against `link`'s precomputed crossing-mask row
-    /// through the selected kernel — so the cost is a handful of word
-    /// operations regardless of how many links the header has recorded. On
-    /// sparse tables (above the dense-mask link threshold) it walks
-    /// `link`'s crossing list with O(1) bitset membership probes instead.
+    /// bitset is ANDed against `link`'s precomputed crossing-mask row — so
+    /// the cost is a handful of word operations regardless of how many
+    /// links the header has recorded. On sparse tables (above the
+    /// dense-mask link threshold) it walks `link`'s crossing list with O(1)
+    /// bitset membership probes instead.
     #[inline]
     pub fn is_excluded(&self, link: LinkId) -> bool {
-        self.crosslinks
-            .crosses_any_with(self.kernel, link, self.excluded.bits())
+        self.crosslinks.crosses_any(link, self.excluded.bits())
     }
 }
 
@@ -275,7 +253,7 @@ mod tests {
     }
 
     #[test]
-    fn every_kernel_computes_the_same_exclusion() {
+    fn single_context_excludes_only_the_crossing_link() {
         let mut b = Topology::builder();
         let v0 = b.add_node(Point::new(0.0, 0.0));
         let v1 = b.add_node(Point::new(10.0, 10.0));
@@ -287,19 +265,11 @@ mod tests {
         let xl = CrossLinkTable::new(&topo);
         let mut excluded = LinkIdSet::new();
         excluded.insert(diag2);
-        let kernels = [
-            SweepKernel::Scalar,
-            SweepKernel::Batched,
-            #[cfg(feature = "simd")]
-            SweepKernel::Simd,
-        ];
-        for k in kernels {
-            let ctx = SweepContext::with_kernel(&xl, &excluded, k);
-            assert!(ctx.is_excluded(diag1), "{k:?}");
-            assert!(!ctx.is_excluded(diag2), "{k:?}");
-            assert_eq!(ctx.crosslinks() as *const _, &xl as *const _);
-            assert_eq!(ctx.excluded() as *const _, &excluded as *const _);
-        }
+        let ctx = SweepContext::new(&xl, &excluded);
+        assert!(ctx.is_excluded(diag1));
+        assert!(!ctx.is_excluded(diag2));
+        assert_eq!(ctx.crosslinks() as *const _, &xl as *const _);
+        assert_eq!(ctx.excluded() as *const _, &excluded as *const _);
     }
 
     #[test]

@@ -56,9 +56,9 @@ use crate::baseline::Baseline;
 use crate::json::{Json, ToJson};
 use crate::par;
 use core::fmt;
-use rtr_core::{DeliveryOutcome, SessionPool, SweepKernel};
+use rtr_core::{DeliveryOutcome, SessionPool};
 use rtr_obs::{Event, NoopSink, TraceSink};
-use rtr_routing::{IncrementalSpt, Kernels, SptScratch};
+use rtr_routing::{IncrementalSpt, SptScratch};
 use rtr_topology::{LinkId, LinkMask, NodeId, Timeline, TimelineEvent, Topology};
 use std::sync::Arc;
 
@@ -91,7 +91,6 @@ type HopMemo = Option<Option<LinkId>>;
 #[derive(Debug)]
 pub struct DynamicBaseline {
     base: Arc<Baseline>,
-    kernels: Kernels,
     mask: LinkMask,
     /// Parked per-source trees, indexed by `NodeId::index`. `Option` so a
     /// tree can be checked out (rehydrated into an [`IncrementalSpt`])
@@ -112,23 +111,22 @@ impl DynamicBaseline {
     /// Builds the believed state for the intact topology, serially.
     #[must_use]
     pub fn new(base: Arc<Baseline>) -> Self {
-        Self::with_kernels_threads(base, Kernels::default(), 1)
+        Self::with_threads(base, 1)
     }
 
-    /// Like [`new`](Self::new) with explicit queue kernels and `threads`
-    /// workers for the initial per-source tree build (results are
-    /// byte-identical at every worker count).
+    /// Like [`new`](Self::new) with `threads` workers for the initial
+    /// per-source tree build (results are byte-identical at every worker
+    /// count).
     #[must_use]
-    pub fn with_kernels_threads(base: Arc<Baseline>, kernels: Kernels, threads: usize) -> Self {
+    pub fn with_threads(base: Arc<Baseline>, threads: usize) -> Self {
         let mask = LinkMask::none(base.topo());
-        Self::over_mask(base, kernels, mask, threads, 0)
+        Self::over_mask(base, mask, threads, 0)
     }
 
     /// Builds the full state from scratch over an arbitrary link mask —
     /// the shared path of the initial build and the rebuild oracle.
     fn over_mask(
         base: Arc<Baseline>,
-        kernels: Kernels,
         mask: LinkMask,
         threads: usize,
         events_applied: usize,
@@ -145,8 +143,7 @@ impl DynamicBaseline {
             let mut slot_of = vec![usize::MAX; topo.link_count()];
             for ui in r.clone() {
                 let u = NodeId(ui as u32);
-                let tree =
-                    IncrementalSpt::with_view_in(topo, &mask, u, SptScratch::with_kernels(kernels));
+                let tree = IncrementalSpt::with_view(topo, &mask, u);
                 let first = buckets.len();
                 buckets.resize(first + topo.neighbors(u).len(), Vec::new());
                 rebucket_source(
@@ -176,7 +173,6 @@ impl DynamicBaseline {
         let link_count = topo.link_count();
         DynamicBaseline {
             base,
-            kernels,
             mask,
             trees,
             slot_base,
@@ -350,7 +346,6 @@ impl DynamicBaseline {
     pub fn rebuilt_traced<S: TraceSink>(&self, sink: &mut S) -> DynamicBaseline {
         let out = Self::over_mask(
             Arc::clone(&self.base),
-            self.kernels,
             self.mask.clone(),
             1,
             self.events_applied,
@@ -520,10 +515,6 @@ pub struct ChurnConfig {
     pub max_cases_per_event: usize,
     /// Worker threads for the initial baseline build (0 = auto).
     pub threads: usize,
-    /// Shortest-path queue kernels for every tree in the run.
-    pub kernels: Kernels,
-    /// Phase-1 crossing-mask kernel.
-    pub sweep: SweepKernel,
 }
 
 impl Default for ChurnConfig {
@@ -532,8 +523,6 @@ impl Default for ChurnConfig {
             staleness: 1,
             max_cases_per_event: 0,
             threads: 1,
-            kernels: Kernels::default(),
-            sweep: SweepKernel::default(),
         }
     }
 }
@@ -788,9 +777,8 @@ pub fn run_timeline(
     let staleness = cfg.staleness.max(1);
     let topo = base.topo();
     let mut truth = LinkMask::none(topo);
-    let mut believed =
-        DynamicBaseline::with_kernels_threads(Arc::clone(base), cfg.kernels, cfg.threads);
-    let pool = SessionPool::with_kernels(cfg.kernels, cfg.sweep);
+    let mut believed = DynamicBaseline::with_threads(Arc::clone(base), cfg.threads);
+    let pool = SessionPool::new();
     let mut events_out = Vec::with_capacity(timeline.len());
     let evs = timeline.events();
     for (i, ev) in evs.iter().enumerate() {
@@ -951,7 +939,7 @@ mod tests {
     fn parallel_initial_build_is_byte_identical() {
         let base = grid_base();
         let serial = DynamicBaseline::new(Arc::clone(&base));
-        let par = DynamicBaseline::with_kernels_threads(Arc::clone(&base), Kernels::default(), 4);
+        let par = DynamicBaseline::with_threads(Arc::clone(&base), 4);
         assert_eq!(serial.divergence(&par), None);
     }
 

@@ -1,8 +1,6 @@
 //! Experiment configuration: the §IV-A simulation setup with scale knobs.
 
 use rtr_baselines::SchemeMask;
-use rtr_core::SweepKernel;
-use rtr_routing::Kernels;
 use rtr_sim::DelayModel;
 
 /// Parameters of the paper's simulation setup (§IV-A) plus scale knobs so
@@ -31,13 +29,6 @@ pub struct ExperimentConfig {
     /// environment variable, else available parallelism; `1` = serial).
     /// Results are byte-identical at every setting.
     pub threads: usize,
-    /// Shortest-path queue kernels (binary heap vs Dial bucket queue) used
-    /// by every Dijkstra/SPT run of the experiment. Results are
-    /// byte-identical across kernels; only throughput changes.
-    pub kernels: Kernels,
-    /// Crossing-mask kernel for phase-1 sweep exclusion probes. Results
-    /// are byte-identical across kernels; only throughput changes.
-    pub sweep: SweepKernel,
     /// Recovery schemes to evaluate (default: all five). RTR itself — the
     /// system under test — always runs regardless of its bit here; the
     /// mask selects which *comparators* (FCP, MRC, eMRC, FEP) are built
@@ -83,18 +74,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Overrides the shortest-path queue kernels.
-    pub fn with_kernels(mut self, kernels: Kernels) -> Self {
-        self.kernels = kernels;
-        self
-    }
-
-    /// Overrides the phase-1 crossing-mask kernel.
-    pub fn with_sweep_kernel(mut self, sweep: SweepKernel) -> Self {
-        self.sweep = sweep;
-        self
-    }
-
     /// Overrides the evaluated scheme set (RTR always runs; see
     /// [`schemes`](Self::schemes)).
     pub fn with_schemes(mut self, schemes: SchemeMask) -> Self {
@@ -115,8 +94,6 @@ impl Default for ExperimentConfig {
             mrc_configurations: 5,
             fig11_areas_per_radius: 1000,
             threads: 0,
-            kernels: Kernels::default(),
-            sweep: SweepKernel::default(),
             schemes: SchemeMask::ALL,
         }
     }
@@ -138,23 +115,14 @@ mod tests {
 
     #[test]
     fn builders() {
-        use rtr_routing::QueueKernel;
         let c = ExperimentConfig::quick()
             .with_cases(42)
             .with_seed(7)
-            .with_threads(3)
-            .with_kernels(Kernels {
-                queue: QueueKernel::Heap,
-            })
-            .with_sweep_kernel(SweepKernel::Scalar);
+            .with_threads(3);
         assert_eq!(c.cases_per_class, 42);
         assert_eq!(c.seed, 7);
         assert_eq!(c.threads, 3);
-        assert_eq!(c.kernels.queue, QueueKernel::Heap);
-        assert_eq!(c.sweep, SweepKernel::Scalar);
         assert_eq!(ExperimentConfig::default().threads, 0, "auto by default");
-        assert_eq!(ExperimentConfig::default().kernels, Kernels::default());
-        assert_eq!(ExperimentConfig::default().sweep, SweepKernel::default());
         assert_eq!(ExperimentConfig::default().schemes, SchemeMask::ALL);
     }
 

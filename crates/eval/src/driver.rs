@@ -95,8 +95,7 @@ struct ScenarioOutcome {
 }
 
 /// Runs every scheme over one scenario's cases. `pool` carries the
-/// worker's reusable RTR-session, ground-truth, and comparator buffers,
-/// all pinned to the config's kernels.
+/// worker's reusable RTR-session, ground-truth, and comparator buffers.
 fn run_scenario(
     w: &Workload,
     cfg: &ExperimentConfig,
@@ -217,7 +216,7 @@ pub fn run_workload(
     // loop allocates nothing transient after warm-up.
     let chunks = par::chunk_ranges(w.scenarios.len(), threads);
     let per_chunk: Vec<Vec<ScenarioOutcome>> = par::map_indexed(threads, &chunks, |_, range| {
-        let pool = SessionPool::with_kernels(cfg.kernels, cfg.sweep);
+        let pool = SessionPool::new();
         w.scenarios[range.clone()]
             .iter()
             .map(|sc| run_scenario(w, cfg, &comparators, sc, &pool))
@@ -546,40 +545,6 @@ mod tests {
             let cfg = cfg.clone().with_threads(threads);
             let parallel = format!("{:?}", run_workload(&w, &cfg));
             assert_eq!(serial, parallel, "diverged at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn kernel_choice_never_changes_results() {
-        // The whole point of the Kernels API: heap vs bucket queue and
-        // scalar vs batched (vs AVX2) crossing masks are pure throughput
-        // knobs. Any combination must serialize the exact same results.
-        use rtr_core::SweepKernel;
-        use rtr_routing::{Kernels, QueueKernel};
-        let topo = generate::isp_like(30, 70, 2000.0, 8).unwrap();
-        let cfg = ExperimentConfig::quick()
-            .with_cases(30)
-            .with_threads(1)
-            .with_kernels(Kernels {
-                queue: QueueKernel::Heap,
-            })
-            .with_sweep_kernel(SweepKernel::Scalar);
-        let w = generate_workload("t", topo, &cfg, 2);
-        let reference = format!("{:?}", run_workload(&w, &cfg));
-        let combos = [
-            (QueueKernel::Heap, SweepKernel::Batched),
-            (QueueKernel::Bucket, SweepKernel::Scalar),
-            (QueueKernel::Bucket, SweepKernel::Batched),
-            #[cfg(feature = "simd")]
-            (QueueKernel::Bucket, SweepKernel::Simd),
-        ];
-        for (queue, sweep) in combos {
-            let cfg = cfg
-                .clone()
-                .with_kernels(Kernels { queue })
-                .with_sweep_kernel(sweep);
-            let got = format!("{:?}", run_workload(&w, &cfg));
-            assert_eq!(reference, got, "diverged at {queue:?}/{sweep:?}");
         }
     }
 

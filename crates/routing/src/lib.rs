@@ -28,15 +28,14 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod dial;
 pub mod dijkstra;
-pub mod kernels;
 pub mod path;
 pub mod source_route;
 pub mod spt;
 pub mod table;
 
 pub use dijkstra::{bfs_hops, shortest_path, DijkstraScratch, ShortestPaths};
-pub use kernels::{Kernels, QueueKernel};
 pub use path::Path;
 pub use source_route::{SourceRoute, BYTES_PER_HOP};
 pub use spt::{IncrementalSpt, SptScratch};

@@ -11,7 +11,7 @@
 //! [`IncrementalSpt::nodes_touched`] exposes how much work each update did,
 //! backing the incremental-vs-full ablation bench.
 
-use crate::kernels::{Kernels, QueueScratch};
+use crate::dial::DialQueue;
 use crate::path::Path;
 use rtr_obs::{Event, TraceSink};
 use rtr_topology::{GraphView, LinkId, NodeId, Topology};
@@ -33,29 +33,14 @@ pub struct SptScratch {
     children: Vec<Vec<NodeId>>,
     affected: Vec<bool>,
     stack: Vec<NodeId>,
+    // The repair loops seed their frontier with absolute distances spanning
+    // more than `max_link_cost`, outside Dial's window, so they use a heap;
+    // full rebuilds use the bucket queue.
     heap: BinaryHeap<Reverse<(u64, u32)>>,
-    queue: QueueScratch,
+    queue: DialQueue,
 }
 
 impl SptScratch {
-    /// An empty scratch whose full rebuilds ([`IncrementalSpt::reset`] and
-    /// initial construction) run the given kernel configuration. The
-    /// incremental repair of [`IncrementalSpt::remove_links`] always uses
-    /// the binary heap: its frontier seeds span more than the max link
-    /// cost, violating the bucket queue's monotonicity invariant (see
-    /// [`crate::kernels`]).
-    pub fn with_kernels(kernels: Kernels) -> Self {
-        SptScratch {
-            queue: QueueScratch::with_kernels(kernels),
-            ..Self::default()
-        }
-    }
-
-    /// The kernel configuration carried by this scratch.
-    pub fn kernels(&self) -> Kernels {
-        self.queue.kernels
-    }
-
     /// Distance label left behind by the tree that dissolved into this
     /// scratch (see [`IncrementalSpt::into_scratch`]), or `None` for an
     /// unreachable or out-of-range node. Lets a caller that parks many
@@ -109,7 +94,7 @@ pub struct IncrementalSpt<'a> {
     affected: Vec<bool>,
     stack: Vec<NodeId>,
     heap: BinaryHeap<Reverse<(u64, u32)>>,
-    queue: QueueScratch,
+    queue: DialQueue,
 }
 
 impl<'a> IncrementalSpt<'a> {
@@ -200,11 +185,6 @@ impl<'a> IncrementalSpt<'a> {
             heap: self.heap,
             queue: self.queue,
         }
-    }
-
-    /// The kernel configuration this tree's full rebuilds run with.
-    pub fn kernels(&self) -> Kernels {
-        self.queue.kernels
     }
 
     /// Recomputes the tree from scratch over `view`, rooted at `source`,

@@ -7,7 +7,6 @@
 //! routing" that RTR falls back on, plus the post-convergence state.
 
 use crate::dijkstra::{DijkstraScratch, ShortestPaths};
-use crate::kernels::Kernels;
 use crate::path::Path;
 use rtr_topology::{GraphView, LinkId, NodeId, Topology};
 
@@ -21,19 +20,7 @@ pub struct RoutingTable {
 impl RoutingTable {
     /// Computes the routing table every router would hold given `view`.
     pub fn compute(topo: &Topology, view: &impl GraphView) -> Self {
-        Self::compute_with(topo, view, Kernels::default())
-    }
-
-    /// Like [`compute`](Self::compute), with an explicit queue-kernel
-    /// selection for the per-router Dijkstra runs. Kernels affect only
-    /// throughput, never the computed trees.
-    pub fn compute_with(topo: &Topology, view: &impl GraphView, kernels: Kernels) -> Self {
-        Self::from_trees(Self::compute_sources_with(
-            topo,
-            view,
-            kernels,
-            topo.node_ids(),
-        ))
+        Self::from_trees(Self::compute_sources(topo, view, topo.node_ids()))
     }
 
     /// Computes the shortest-path trees for a subset of sources, in the
@@ -43,14 +30,13 @@ impl RoutingTable {
     /// split `topo.node_ids()` into contiguous ranges, compute each range
     /// on its own thread, and concatenate the results with
     /// [`from_trees`](Self::from_trees) — byte-identical to the serial
-    /// [`compute_with`](Self::compute_with) at any thread count.
-    pub fn compute_sources_with(
+    /// [`compute`](Self::compute) at any thread count.
+    pub fn compute_sources(
         topo: &Topology,
         view: &impl GraphView,
-        kernels: Kernels,
         sources: impl IntoIterator<Item = NodeId>,
     ) -> Vec<ShortestPaths> {
-        let mut scratch = DijkstraScratch::with_kernels(kernels);
+        let mut scratch = DijkstraScratch::new();
         sources
             .into_iter()
             .map(|n| scratch.run(topo, view, n).clone())
@@ -59,7 +45,7 @@ impl RoutingTable {
 
     /// Assembles a table from per-source trees, where `trees[i]` must be
     /// the tree rooted at `NodeId(i)` — the inverse of splitting
-    /// `topo.node_ids()` across [`compute_sources_with`](Self::compute_sources_with)
+    /// `topo.node_ids()` across [`compute_sources`](Self::compute_sources)
     /// calls.
     pub fn from_trees(trees: Vec<ShortestPaths>) -> Self {
         RoutingTable { trees }

@@ -10,8 +10,70 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtr_routing::dijkstra::dijkstra;
-use rtr_routing::{DijkstraScratch, IncrementalSpt, Kernels, QueueKernel, SptScratch};
-use rtr_topology::{generate, FullView, LinkId, LinkMask, NodeId, Point, Topology};
+use rtr_routing::{DijkstraScratch, IncrementalSpt};
+use rtr_topology::{generate, FullView, GraphView, LinkId, LinkMask, NodeId, Point, Topology};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Labels and settle order of one reference Dijkstra run.
+struct Reference {
+    dist: Vec<Option<u64>>,
+    parent: Vec<Option<(NodeId, LinkId)>>,
+    settled: Vec<NodeId>,
+}
+
+impl Reference {
+    fn dist(&self, v: NodeId) -> Option<u64> {
+        self.dist.get(v.index()).copied().flatten()
+    }
+
+    fn parent(&self, v: NodeId) -> Option<(NodeId, LinkId)> {
+        self.parent.get(v.index()).copied().flatten()
+    }
+}
+
+/// Textbook Dijkstra on a `BinaryHeap<Reverse<(dist, node)>>`, with the
+/// library's tie-break (smaller `(parent, link)` wins on equal distance).
+/// The oracle for the bucket-queue runs.
+fn heap_dijkstra(topo: &Topology, view: &impl GraphView, src: NodeId) -> Reference {
+    let n = topo.node_count();
+    let mut r = Reference {
+        dist: vec![None; n],
+        parent: vec![None; n],
+        settled: Vec::new(),
+    };
+    let mut heap = BinaryHeap::new();
+    if let (true, Some(d0)) = (view.is_node_live(src), r.dist.get_mut(src.index())) {
+        *d0 = Some(0);
+        heap.push(Reverse((0u64, src.0)));
+    }
+    while let Some(Reverse((d, u))) = heap.pop() {
+        let u = NodeId(u);
+        if r.dist(u) != Some(d) {
+            continue;
+        }
+        r.settled.push(u);
+        for &(v, l) in topo.neighbors(u) {
+            if !view.is_link_usable(topo, l) {
+                continue;
+            }
+            let nd = d + u64::from(topo.cost_from(l, u));
+            let better = match (r.dist(v), r.parent(v)) {
+                (None, _) => true,
+                (Some(old), p) => nd < old || (nd == old && p.is_none_or(|p| (u, l) < p)),
+            };
+            if !better {
+                continue;
+            }
+            if let (Some(dv), Some(pv)) = (r.dist.get_mut(v.index()), r.parent.get_mut(v.index())) {
+                *dv = Some(nd);
+                *pv = Some((u, l));
+                heap.push(Reverse((nd, v.0)));
+            }
+        }
+    }
+    r
+}
 
 /// A connected random graph with small random per-direction integer costs
 /// in `1..=max_cost` — the cost regime Dial's bucket queue is built for
@@ -157,11 +219,11 @@ proptest! {
         }
     }
 
-    /// Tentpole equivalence pin: the Dial bucket queue produces exactly the
-    /// binary heap's result on random small-integer-cost graphs — same
-    /// distances, same parents, and the same settle (pop) order on ties —
-    /// for full runs, early-exit target runs, and `IncrementalSpt` resets,
-    /// under random failure subsets.
+    /// The Dial bucket queue produces exactly a binary-heap Dijkstra's
+    /// result on random small-integer-cost graphs — same distances, same
+    /// parents, and the same settle (pop) order on ties — for full runs,
+    /// early-exit target runs, and `IncrementalSpt` resets, under random
+    /// failure subsets.
     #[test]
     fn bucket_queue_matches_heap_exactly(
         n in 2..28usize,
@@ -178,46 +240,48 @@ proptest! {
             .collect();
         let mask = LinkMask::from_links(&topo, removed.iter().copied());
 
-        let mut heap = DijkstraScratch::with_kernels(Kernels { queue: QueueKernel::Heap });
-        let mut bucket = DijkstraScratch::with_kernels(Kernels { queue: QueueKernel::Bucket });
-        prop_assert_eq!(heap.kernels().queue, QueueKernel::Heap);
-        let (mut log_h, mut log_b) = (Vec::new(), Vec::new());
+        let mut bucket = DijkstraScratch::new();
+        let mut log = Vec::new();
         let sources = [NodeId(0), NodeId(rng.gen_range(0..n as u32))];
         for src in sources {
-            log_h.clear();
-            log_b.clear();
-            let h = heap.run_with_settle_log(&topo, &mask, src, &mut log_h).clone();
-            let bk = bucket.run_with_settle_log(&topo, &mask, src, &mut log_b);
+            let want = heap_dijkstra(&topo, &mask, src);
+            log.clear();
+            let got = bucket.run_with_settle_log(&topo, &mask, src, &mut log);
             for v in topo.node_ids() {
-                prop_assert_eq!(h.distance(v), bk.distance(v), "distance at {}", v);
-                prop_assert_eq!(h.parent(v), bk.parent(v), "parent at {}", v);
+                prop_assert_eq!(want.dist(v), got.distance(v), "distance at {}", v);
+                prop_assert_eq!(want.parent(v), got.parent(v), "parent at {}", v);
             }
-            prop_assert_eq!(&log_h, &log_b, "settle order diverged from {}", src);
+            prop_assert_eq!(&want.settled, &log, "settle order diverged from {}", src);
 
-            // Early-exit runs settle the same target label either way.
+            // Early-exit runs settle the target's label and parent chain
+            // exactly as the full reference run does.
             for t in topo.node_ids() {
-                let hd = heap.run_to(&topo, &mask, src, t).path_to(t);
-                let bd = bucket.run_to(&topo, &mask, src, t).path_to(t);
-                prop_assert_eq!(hd, bd, "run_to {} -> {}", src, t);
+                let path = bucket.run_to(&topo, &mask, src, t).path_to(t);
+                prop_assert_eq!(path.is_some(), want.dist(t).is_some());
+                if let Some(path) = path {
+                    prop_assert_eq!(Some(path.cost()), want.dist(t));
+                    let mut hop = t;
+                    for (&node, &link) in path.nodes().iter().skip(1).zip(path.links()).rev() {
+                        prop_assert_eq!(node, hop);
+                        let (prev, l) = want.parent(hop).expect("reachable non-source");
+                        prop_assert_eq!(link, l, "run_to {} -> {}", src, t);
+                        hop = prev;
+                    }
+                    prop_assert_eq!(hop, src);
+                }
             }
         }
 
-        // IncrementalSpt reset (full rebuild through run_raw) agrees too.
-        let spt_h = IncrementalSpt::with_view_in(
-            &topo,
-            &mask,
-            NodeId(0),
-            SptScratch::with_kernels(Kernels { queue: QueueKernel::Heap }),
-        );
-        let spt_b = IncrementalSpt::with_view_in(
-            &topo,
-            &mask,
-            NodeId(0),
-            SptScratch::with_kernels(Kernels { queue: QueueKernel::Bucket }),
-        );
-        for v in topo.node_ids() {
-            prop_assert_eq!(spt_h.distance(v), spt_b.distance(v));
-            prop_assert_eq!(spt_h.parent(v), spt_b.parent(v));
+        // IncrementalSpt construction (a full rebuild through the same
+        // queue) agrees too, also after a `reset` re-roots it.
+        let mut spt = IncrementalSpt::with_view(&topo, &mask, NodeId(0));
+        for src in sources {
+            spt.reset(&mask, src);
+            let want = heap_dijkstra(&topo, &mask, src);
+            for v in topo.node_ids() {
+                prop_assert_eq!(want.dist(v), spt.distance(v));
+                prop_assert_eq!(want.parent(v), spt.parent(v));
+            }
         }
     }
 }

@@ -14,6 +14,9 @@ use crate::graph::LinkId;
 /// Bits per storage word.
 const WORD_BITS: usize = 64;
 
+/// Words per chunk of the batched intersection probe (one 256-bit lane).
+const LANE_WORDS: usize = 4;
+
 /// A set of [`LinkId`]s stored as `u64` blocks, indexed by id.
 ///
 /// Inserts grow the block array on demand; membership and word-parallel
@@ -112,18 +115,32 @@ impl LinkBitSet {
 
     /// Like [`intersects`](Self::intersects), against a raw block slice
     /// (e.g. one row of [`CrossLinkTable`](crate::CrossLinkTable)'s
-    /// crossing-mask matrix).
+    /// crossing-mask matrix). Trailing words of the longer side are
+    /// ignored.
+    ///
+    /// The probe runs in 4×u64 chunks reduced as an OR of ANDs: the four
+    /// ANDs of a chunk are independent, so the loop carries one early exit
+    /// per chunk rather than per word, the shape LLVM vectorizes to 256-bit
+    /// operations where available. The sub-chunk tail goes word by word.
     #[inline]
     pub fn intersects_words(&self, words: &[u64]) -> bool {
-        crate::kernels::intersect_any_scalar(&self.words, words)
-    }
-
-    /// Like [`intersects_words`](Self::intersects_words), but through an
-    /// explicit [`MaskKernel`](crate::MaskKernel) — the sweep hot path's
-    /// entry point for the batched/AVX2 lanes.
-    #[inline]
-    pub fn intersects_words_with(&self, kernel: crate::MaskKernel, words: &[u64]) -> bool {
-        crate::kernels::intersect_any(kernel, &self.words, words)
+        let n = self.words.len().min(words.len());
+        let (Some(a), Some(b)) = (self.words.get(..n), words.get(..n)) else {
+            return false;
+        };
+        let mut ca = a.chunks_exact(LANE_WORDS);
+        let mut cb = b.chunks_exact(LANE_WORDS);
+        for (ax, bx) in ca.by_ref().zip(cb.by_ref()) {
+            if let ([a0, a1, a2, a3], [b0, b1, b2, b3]) = (ax, bx) {
+                if (a0 & b0) | (a1 & b1) | (a2 & b2) | (a3 & b3) != 0 {
+                    return true;
+                }
+            }
+        }
+        ca.remainder()
+            .iter()
+            .zip(cb.remainder())
+            .any(|(x, y)| x & y != 0)
     }
 
     /// Adds every member of `other` (word-parallel OR).

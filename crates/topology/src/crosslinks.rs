@@ -15,14 +15,13 @@
 //! Storage is hybrid: per-link crossing *bitmask* rows (O(m²) bits, the
 //! fastest exclusion probe) are materialized only up to
 //! [`DENSE_MASK_MAX_LINKS`]; beyond that only the sorted crossing lists are
-//! kept and [`CrossLinkTable::crosses_any_with`] walks the (short) list
+//! kept and [`CrossLinkTable::crosses_any`] walks the (short) list
 //! with O(1) bitset membership per entry.
 
 use crate::bitset::LinkBitSet;
 use crate::geometry::segments_cross;
 use crate::graph::{LinkId, Topology};
 use crate::grid::{Bbox, SegmentGrid};
-use crate::kernels::MaskKernel;
 
 /// Bits per crossing-mask word (matches [`crate::bitset::LinkBitSet`]).
 const WORD_BITS: usize = 64;
@@ -34,7 +33,7 @@ const ALL_PAIRS_MAX_LINKS: usize = 1024;
 /// Largest link count for which dense per-link crossing-mask rows are
 /// materialized (O(m²/8) bytes — 8 MiB at this cap). Larger tables keep
 /// only the sorted crossing lists; the sweep's exclusion probe goes
-/// through [`CrossLinkTable::crosses_any_with`], which handles both.
+/// through [`CrossLinkTable::crosses_any`], which handles both.
 pub const DENSE_MASK_MAX_LINKS: usize = 8192;
 
 /// For every link, the sorted list of links that properly cross it, plus —
@@ -186,7 +185,7 @@ impl CrossLinkTable {
     /// link `w * 64 + b` properly crosses `l`. Empty for out-of-range `l`
     /// — and empty for *every* `l` when the table is in sparse mode
     /// (see [`has_dense_masks`](Self::has_dense_masks)); callers wanting a
-    /// mode-independent probe use [`crosses_any_with`](Self::crosses_any_with).
+    /// mode-independent probe use [`crosses_any`](Self::crosses_any).
     ///
     /// Intersecting this row with a
     /// [`LinkBitSet`](crate::bitset::LinkBitSet) answers "does `l` cross
@@ -221,12 +220,12 @@ impl CrossLinkTable {
 
     /// Returns true when `l` crosses any member of `set` — the phase-1
     /// exclusion probe (Constraints 1 and 2). In dense mode this is a
-    /// word-parallel AND of `l`'s mask row against the set, run by
-    /// `kernel`; in sparse mode it walks `l`'s sorted crossing list (short
-    /// in realistic embeddings) with O(1) membership per entry.
-    pub fn crosses_any_with(&self, kernel: MaskKernel, l: LinkId, set: &LinkBitSet) -> bool {
+    /// word-parallel AND of `l`'s mask row against the set; in sparse mode
+    /// it walks `l`'s sorted crossing list (short in realistic embeddings)
+    /// with O(1) membership per entry.
+    pub fn crosses_any(&self, l: LinkId, set: &LinkBitSet) -> bool {
         if self.dense {
-            set.intersects_words_with(kernel, self.crossing_mask(l))
+            set.intersects_words(self.crossing_mask(l))
         } else {
             self.crossings_of(l).iter().any(|&o| set.contains(o))
         }
@@ -353,7 +352,7 @@ mod tests {
     }
 
     /// A sparse-mode table built over a synthetic segment soup: verifies
-    /// list/binary-search probes and `crosses_any_with` agree with a
+    /// list/binary-search probes and `crosses_any` agree with a
     /// dense table over the same geometry.
     #[test]
     fn sparse_mode_probes_agree_with_dense() {
@@ -375,9 +374,9 @@ mod tests {
         }
         for a in topo.link_ids() {
             assert_eq!(
-                sparse.crosses_any_with(MaskKernel::Scalar, a, &set),
-                dense.crosses_any_with(MaskKernel::Scalar, a, &set),
-                "crosses_any_with diverges at {a}"
+                sparse.crosses_any(a, &set),
+                dense.crosses_any(a, &set),
+                "crosses_any diverges at {a}"
             );
             for b in topo.link_ids() {
                 assert_eq!(sparse.crosses(a, b), dense.crosses(a, b));

@@ -43,10 +43,7 @@
 //! ```
 
 #![deny(missing_docs)]
-// `unsafe` is forbidden everywhere except the AVX2 intrinsics confined to
-// `kernels.rs`, which opt in locally when the `simd` feature is enabled.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 
 pub mod bitset;
 pub mod crosslinks;
@@ -56,7 +53,6 @@ pub mod geometry;
 pub mod graph;
 pub mod grid;
 pub mod isp;
-pub mod kernels;
 pub mod pa;
 pub mod timeline;
 
@@ -69,5 +65,4 @@ pub use generate::GenerateError;
 pub use geometry::{Circle, Point, Polygon, Segment};
 pub use graph::{Link, LinkId, NodeId, Topology, TopologyBuilder, TopologyError, MAX_IDS};
 pub use grid::{PointGrid, SegmentGrid};
-pub use kernels::MaskKernel;
 pub use timeline::{Timeline, TimelineEvent};

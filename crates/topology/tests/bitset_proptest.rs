@@ -3,17 +3,7 @@
 //! identical to the linear scans it replaced.
 
 use proptest::prelude::*;
-use rtr_topology::{LinkBitSet, LinkId, MaskKernel};
-
-/// Every mask kernel compiled into this build.
-fn all_kernels() -> Vec<MaskKernel> {
-    vec![
-        MaskKernel::Scalar,
-        MaskKernel::Batched,
-        #[cfg(feature = "simd")]
-        MaskKernel::Simd,
-    ]
-}
+use rtr_topology::{LinkBitSet, LinkId};
 
 /// The reference model: sorted, deduplicated ids (LinkBitSet iterates
 /// ascending by construction).
@@ -22,6 +12,58 @@ fn model(ids: &[u32]) -> Vec<LinkId> {
     v.sort_unstable();
     v.dedup();
     v
+}
+
+/// The word-at-a-time oracle for `intersects_words`: a shared set bit
+/// within the common prefix of the two block slices.
+fn words_oracle(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(x, y)| x & y != 0)
+}
+
+/// A set holding exactly the bits of `words`, pre-sized to `words.len()`
+/// blocks so its block slice equals `words`.
+fn from_words(words: &[u64]) -> LinkBitSet {
+    let mut set = LinkBitSet::with_link_capacity(words.len() * 64);
+    for (w, &word) in words.iter().enumerate() {
+        for i in (0..64).filter(|i| word >> i & 1 == 1) {
+            set.insert(LinkId((w * 64 + i) as u32));
+        }
+    }
+    set
+}
+
+/// Fixed cases around the probe's 4-word chunk: mismatched lengths
+/// (trailing words of the longer side are ignored), then every length
+/// straddling the chunk boundary, empty and with the only shared bit
+/// placed at each word position in turn.
+#[test]
+fn intersects_words_lane_boundary_cases() {
+    let cases: &[(&[u64], &[u64])] = &[
+        (&[1], &[]),
+        (&[1], &[2]),
+        (&[0, 0, 0, 0, 1], &[0, 0, 0, 0, 2]),
+        (&[u64::MAX; 7], &[0; 7]),
+        (&[0, 0], &[0, 0, u64::MAX]),
+        (&[0, 0, u64::MAX], &[0, 0]),
+    ];
+    for (a, b) in cases {
+        assert_eq!(
+            from_words(a).intersects_words(b),
+            words_oracle(a, b),
+            "{a:?} ∩ {b:?}"
+        );
+    }
+    for len in [0usize, 1, 3, 4, 5, 7, 8, 9] {
+        let zeros = vec![0u64; len];
+        assert!(!from_words(&zeros).intersects_words(&zeros), "len {len}");
+        for hit in 0..len {
+            let mut a = vec![0u64; len];
+            if let Some(x) = a.get_mut(hit) {
+                *x = 1 << (hit % 64);
+            }
+            assert!(from_words(&a).intersects_words(&a), "len {len} hit {hit}");
+        }
+    }
 }
 
 proptest! {
@@ -65,43 +107,32 @@ proptest! {
         prop_assert_eq!(sa.intersects_words(sb.words()), expect);
     }
 
-    /// Batched (and, when compiled in, AVX2) mask kernels agree with the
-    /// scalar baseline on raw word slices whose lengths straddle the 4-word
-    /// lane boundary: 0, 1, 3, 4, 5 words and beyond, independently per
-    /// side so mismatched lengths are exercised too.
+    /// The chunked probe agrees with the word-at-a-time oracle on raw word
+    /// slices whose lengths straddle the 4-word chunk boundary: 0, 1, 3,
+    /// 4, 5 words and beyond, independently per side so mismatched lengths
+    /// are exercised too.
     #[test]
-    fn mask_kernels_match_scalar_on_lane_boundaries(
+    fn intersects_words_matches_oracle_on_lane_boundaries(
         a in proptest::collection::vec(0u64..u64::MAX, 0..10),
         b in proptest::collection::vec(0u64..u64::MAX, 0..10),
         sparse_bit in 0usize..320,
     ) {
-        let expect = a.iter().zip(&b).any(|(x, y)| x & y != 0);
-        let sa: LinkBitSet = a
-            .iter()
-            .enumerate()
-            .flat_map(|(w, &word)| {
-                (0..64).filter(move |i| word >> i & 1 == 1).map(move |i| LinkId((w * 64 + i) as u32))
-            })
-            .collect();
-        for k in all_kernels() {
-            prop_assert_eq!(
-                rtr_topology::kernels::intersect_any(k, &a, &b),
-                expect,
-                "{:?} on {} x {} words", k, a.len(), b.len()
-            );
-            prop_assert_eq!(sa.intersects_words_with(k, &b), expect, "{:?} via LinkBitSet", k);
-        }
+        let expect = words_oracle(&a, &b);
+        prop_assert_eq!(
+            from_words(&a).intersects_words(&b),
+            expect,
+            "{} x {} words", a.len(), b.len()
+        );
 
         // Random dense words rarely miss; pin the all-zero-but-one case so
-        // the "no intersection until the very last lane" path is covered.
+        // the "no intersection until the very last chunk" path is covered.
         let mut lone = vec![0u64; sparse_bit / 64 + 1];
         if let Some(w) = lone.get_mut(sparse_bit / 64) {
             *w = 1 << (sparse_bit % 64);
         }
-        for k in all_kernels() {
-            prop_assert!(rtr_topology::kernels::intersect_any(k, &lone, &lone));
-            prop_assert!(!rtr_topology::kernels::intersect_any(k, &lone, &[]));
-        }
+        let set = from_words(&lone);
+        prop_assert!(set.intersects_words(&lone));
+        prop_assert!(!set.intersects_words(&[]));
     }
 
     /// Union equals the merged reference; pre-sized and grown sets with

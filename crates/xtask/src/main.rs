@@ -87,14 +87,14 @@ fn main() -> ExitCode {
                  (got {:?})\n\n\
                  analyze       Runs the workspace static-analysis pass: panic-freedom,\n\
                  \x20             print/determinism discipline in the hot-path crates,\n\
-                 \x20             paper-invariant lints, theorem coverage, thread/SIMD\n\
+                 \x20             paper-invariant lints, theorem coverage, thread\n\
                  \x20             discipline, link-set membership, unsafe-audit, and\n\
                  \x20             allocation discipline in steady-state functions.\n\
                  \x20             --json emits a machine-readable report, --github adds\n\
                  \x20             workflow ::error annotations, --list-rules prints the\n\
                  \x20             rule registry (the DESIGN.md \u{a7}7 table).\n\
                  bench-record  Regenerates BENCH_eval.json at the workspace root\n\
-                 \x20             (driver wall times serial vs parallel, per kernel).\n\
+                 \x20             (driver wall times serial vs parallel, sweep time).\n\
                  bench-check   Validates the committed BENCH_eval.json (parses, rows\n\
                  \x20             carry serial_secs/sweep_secs, speedups sane for the\n\
                  \x20             recording host) and fails if a fresh run regresses\n\

@@ -1,6 +1,6 @@
 //! Allocation discipline: a configured list of steady-state functions —
 //! the phase-1 sweep, the phase-2 walk, the recovery entry points, and the
-//! kernel inner loops — must not lexically contain allocating
+//! queue and mask-probe inner loops — must not lexically contain allocating
 //! constructors. The static list is cross-checked by the dynamic
 //! counting-`GlobalAlloc` test in `crates/core/tests/alloc_discipline.rs`,
 //! which proves zero allocations per recovery after warm-up.
@@ -16,15 +16,14 @@ use std::collections::BTreeSet;
 
 /// The steady-state functions held to zero lexical allocations, as
 /// `(workspace-relative file, fn name)`. Every same-named non-test `fn`
-/// in the file is checked (trait impls share names deliberately: both
-/// `MonoQueue` impls run inside the Dijkstra inner loop).
-pub const STEADY_STATE_FNS: [(&str, &str); 16] = [
+/// in the file is checked.
+pub const STEADY_STATE_FNS: [(&str, &str); 14] = [
     // Phase-1 sweep: next-hop selection and crossing-mask exclusion.
     ("crates/core/src/sweep.rs", "select_next_hop"),
     ("crates/core/src/sweep.rs", "is_excluded"),
     // Hybrid dense/sparse crossing probe behind `is_excluded`, and the
     // grid-index candidate query behind region harvests.
-    ("crates/topology/src/crosslinks.rs", "crosses_any_with"),
+    ("crates/topology/src/crosslinks.rs", "crosses_any"),
     ("crates/topology/src/grid.rs", "for_candidates"),
     ("crates/core/src/phase1.rs", "collect_failure_info_traced"),
     ("crates/core/src/phase1.rs", "record_selection_crossing"),
@@ -34,14 +33,12 @@ pub const STEADY_STATE_FNS: [(&str, &str); 16] = [
     // Session entry points.
     ("crates/core/src/recovery.rs", "recover_traced"),
     ("crates/core/src/recovery.rs", "recover_reusing"),
-    // Dijkstra queue inner ops (both `MonoQueue` impls).
-    ("crates/routing/src/kernels.rs", "push"),
-    ("crates/routing/src/kernels.rs", "pop"),
-    // Bitset membership and crossing-mask kernels.
+    // Dijkstra queue inner ops (Dial's bucket queue).
+    ("crates/routing/src/dial.rs", "push"),
+    ("crates/routing/src/dial.rs", "pop"),
+    // Bitset membership and the batched crossing-mask probe.
     ("crates/topology/src/bitset.rs", "contains"),
-    ("crates/topology/src/bitset.rs", "intersects_words_with"),
-    ("crates/topology/src/kernels.rs", "intersect_any_scalar"),
-    ("crates/topology/src/kernels.rs", "intersect_any_batched"),
+    ("crates/topology/src/bitset.rs", "intersects_words"),
 ];
 
 /// Types whose `new` / `with_capacity` / `from` constructors allocate.
