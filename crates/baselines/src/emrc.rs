@@ -118,7 +118,7 @@ impl RecoveryScheme for Emrc {
             }
             let Some(path) = self
                 .mrc
-                .backup_path_in(topo, config, cur, dest, &mut scratch.sp)
+                .backup_path(topo, config, cur, dest, &mut scratch.sp)
             else {
                 return SchemeAttempt {
                     outcome: RouteOutcome::NoRoute,
@@ -169,7 +169,7 @@ mod tests {
     use super::*;
     use crate::mrc::mrc_recover;
     use rtr_core::SchemeScratch;
-    use rtr_routing::RoutingTable;
+    use rtr_routing::{DijkstraScratch, RoutingTable};
     use rtr_topology::{generate, CrossLinkTable, FailureScenario, FullView, Region};
 
     fn ctx_parts(topo: &Topology) -> (CrossLinkTable, RoutingTable) {
@@ -209,9 +209,10 @@ mod tests {
         // Single link failures: recover across each failed link.
         for l in topo.link_ids().step_by(3) {
             let s = FailureScenario::single_link(&topo, l);
+            let mut sp = DijkstraScratch::new();
             let (a, b) = topo.link(l).endpoints();
             for (init, dest) in [(a, b), (b, a)] {
-                let reference = mrc_recover(&topo, &mrc, &s, init, l, dest);
+                let reference = mrc_recover(&topo, &mrc, &s, init, l, dest, &mut sp);
                 let got = emrc.route_in(ctx, &s, init, l, dest, &mut scratch);
                 assert_eq!(got.is_delivered(), reference.is_delivered(), "link {l:?}");
                 assert_eq!(got.cost_traversed, reference.cost_traversed, "link {l:?}");
@@ -223,6 +224,7 @@ mod tests {
         // Single node failures: neighbors recover toward live destinations.
         for victim in topo.node_ids().step_by(4) {
             let s = FailureScenario::from_parts(&topo, [victim], []);
+            let mut sp = DijkstraScratch::new();
             for &(nbr, _) in topo.neighbors(victim).iter().take(2) {
                 let Some(failed) = topo.link_between(nbr, victim) else {
                     continue;
@@ -234,7 +236,7 @@ mod tests {
                     if !rtr_topology::is_reachable(&topo, &s, nbr, dest) {
                         continue;
                     }
-                    let reference = mrc_recover(&topo, &mrc, &s, nbr, failed, dest);
+                    let reference = mrc_recover(&topo, &mrc, &s, nbr, failed, dest, &mut sp);
                     let got = emrc.route_in(ctx, &s, nbr, failed, dest, &mut scratch);
                     assert_eq!(
                         got.is_delivered(),
@@ -266,6 +268,7 @@ mod tests {
         let emrc = Emrc::from_mrc(mrc.clone());
         let mut scratch = SchemeScratch::new();
         let s = FailureScenario::from_region(&topo, &Region::circle((1000.0, 1000.0), 400.0));
+        let mut sp = DijkstraScratch::new();
         let (mut mrc_delivered, mut emrc_delivered, mut attempts) = (0usize, 0usize, 0usize);
         for n in topo.node_ids() {
             if s.is_node_failed(n) {
@@ -287,7 +290,7 @@ mod tests {
                         continue;
                     }
                     attempts += 1;
-                    let m = mrc_recover(&topo, &mrc, &s, n, l, dest);
+                    let m = mrc_recover(&topo, &mrc, &s, n, l, dest, &mut sp);
                     let e = emrc.route_in(ctx, &s, n, l, dest, &mut scratch);
                     if m.is_delivered() {
                         mrc_delivered += 1;

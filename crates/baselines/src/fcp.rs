@@ -15,17 +15,10 @@
 //! "try every possible link to reach the destination before discarding
 //! packets" (§IV-D).
 
-use rtr_routing::{DijkstraScratch, Path};
+use rtr_core::SchemeScratch;
+use rtr_routing::Path;
 use rtr_sim::{ForwardingTrace, LinkIdSet, LINK_ID_BYTES, NODE_ID_BYTES};
 use rtr_topology::{GraphView, LinkId, LinkMask, NodeId, Topology};
-
-/// Reusable buffers for repeated [`fcp_route_in`] calls: the Dijkstra
-/// scratch plus the believed-view mask rebuilt at every encounter.
-#[derive(Debug, Clone, Default)]
-pub struct FcpScratch {
-    sp: DijkstraScratch,
-    mask: LinkMask,
-}
 
 /// Why an FCP packet stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,10 +90,11 @@ fn believed_view_into(
 /// truth `view`. `initial_failed_link` is the unreachable default next-hop
 /// link that triggered recovery (it seeds the carried failure set).
 ///
-/// *Deprecated-documented*: new code should route through the
-/// [`RecoveryScheme`](crate::RecoveryScheme) trait via [`crate::Fcp`]
-/// (pooled scratch, scheme selection as data); this free function remains
-/// as a thin convenience wrapper.
+/// Every transient buffer comes from `scratch`: its Dijkstra scratch runs
+/// each per-encounter recomputation and its link mask holds the believed
+/// view, so repeated calls allocate nothing after warm-up (beyond the
+/// recomputed source-route path itself). [`crate::Fcp`] adapts this to
+/// the [`RecoveryScheme`](crate::RecoveryScheme) trait.
 ///
 /// # Panics
 ///
@@ -112,54 +106,7 @@ pub fn fcp_route(
     initiator: NodeId,
     initial_failed_link: LinkId,
     dest: NodeId,
-) -> FcpAttempt {
-    fcp_route_in(
-        topo,
-        view,
-        initiator,
-        initial_failed_link,
-        dest,
-        &mut FcpScratch::default(),
-    )
-}
-
-/// Like [`fcp_route`], but reuses the caller's [`FcpScratch`] so the
-/// per-encounter recomputation allocates nothing after warm-up (beyond the
-/// recomputed source-route path itself).
-///
-/// # Panics
-///
-/// Same contract as [`fcp_route`].
-pub fn fcp_route_in(
-    topo: &Topology,
-    view: &impl GraphView,
-    initiator: NodeId,
-    initial_failed_link: LinkId,
-    dest: NodeId,
-    scratch: &mut FcpScratch,
-) -> FcpAttempt {
-    fcp_route_scratch(
-        topo,
-        view,
-        initiator,
-        initial_failed_link,
-        dest,
-        &mut scratch.sp,
-        &mut scratch.mask,
-    )
-}
-
-/// The FCP routing loop over explicitly split buffers, so callers holding
-/// a combined scratch bundle (`rtr-core`'s `SchemeScratch`) can lend its
-/// pieces without owning an [`FcpScratch`].
-pub(crate) fn fcp_route_scratch(
-    topo: &Topology,
-    view: &impl GraphView,
-    initiator: NodeId,
-    initial_failed_link: LinkId,
-    dest: NodeId,
-    sp_scratch: &mut DijkstraScratch,
-    mask: &mut LinkMask,
+    scratch: &mut SchemeScratch,
 ) -> FcpAttempt {
     assert!(
         topo.link(initial_failed_link).is_incident_to(initiator),
@@ -181,9 +128,9 @@ pub(crate) fn fcp_route_scratch(
     // Each recomputation adds at least one newly encountered link to the
     // carried set, so at most `link_count` recomputations can happen.
     loop {
-        believed_view_into(mask, topo, view, cur, &carried);
+        believed_view_into(&mut scratch.mask, topo, view, cur, &carried);
         // Early-exit at `dest`: only `path_to(dest)` is consumed below.
-        let sp = sp_scratch.run_to(topo, &*mask, cur, dest);
+        let sp = scratch.sp.run_to(topo, &scratch.mask, cur, dest);
         sp_calculations += 1;
         let Some(path): Option<Path> = sp.path_to(dest) else {
             return FcpAttempt {
@@ -255,7 +202,8 @@ mod tests {
         b.add_link(v2, v3, 1).unwrap();
         let topo = b.build().unwrap();
         let s = FailureScenario::single_link(&topo, short);
-        let a = fcp_route(&topo, &s, v0, short, v3);
+        let mut scratch = SchemeScratch::new();
+        let a = fcp_route(&topo, &s, v0, short, v3, &mut scratch);
         assert!(a.is_delivered());
         assert_eq!(a.sp_calculations, 1);
         assert_eq!(a.hops(), 2);
@@ -284,7 +232,8 @@ mod tests {
         b.add_link(v5, v3, 1).unwrap();
         let topo = b.build().unwrap();
         let s = FailureScenario::from_parts(&topo, [], [l12, l23]);
-        let a = fcp_route(&topo, &s, v1, l12, v3);
+        let mut scratch = SchemeScratch::new();
+        let a = fcp_route(&topo, &s, v1, l12, v3, &mut scratch);
         assert!(a.is_delivered());
         assert_eq!(a.sp_calculations, 2);
         assert_eq!(a.hops(), 4); // 1-4-2-5-3
@@ -296,8 +245,9 @@ mod tests {
     fn discards_when_no_path_remains() {
         let topo = generate::path(4, 10.0).unwrap();
         let s = FailureScenario::from_parts(&topo, [NodeId(2)], []);
+        let mut scratch = SchemeScratch::new();
         let l = topo.link_between(NodeId(1), NodeId(2)).unwrap();
-        let a = fcp_route(&topo, &s, NodeId(1), l, NodeId(3));
+        let a = fcp_route(&topo, &s, NodeId(1), l, NodeId(3), &mut scratch);
         assert_eq!(a.outcome, FcpOutcome::Discarded);
         assert_eq!(a.sp_calculations, 1);
         assert_eq!(a.hops(), 0);
@@ -310,6 +260,7 @@ mod tests {
         let topo = generate::isp_like(30, 70, 2000.0, 99).unwrap();
         let region = Region::circle((1000.0, 1000.0), 450.0);
         let s = FailureScenario::from_region(&topo, &region);
+        let mut scratch = SchemeScratch::new();
         // Find an irrecoverable entry point.
         let mut found = false;
         'outer: for n in topo.node_ids() {
@@ -324,7 +275,7 @@ mod tests {
                     if dest == n || rtr_topology::is_reachable(&topo, &s, n, dest) {
                         continue;
                     }
-                    let a = fcp_route(&topo, &s, n, l, dest);
+                    let a = fcp_route(&topo, &s, n, l, dest, &mut scratch);
                     assert_eq!(a.outcome, FcpOutcome::Discarded);
                     assert!(a.sp_calculations >= 1);
                     found = true;
@@ -348,7 +299,8 @@ mod tests {
     fn rejects_live_trigger_link() {
         let topo = generate::path(3, 10.0).unwrap();
         let s = FailureScenario::none(&topo);
+        let mut scratch = SchemeScratch::new();
         let l = topo.link_between(NodeId(0), NodeId(1)).unwrap();
-        let _ = fcp_route(&topo, &s, NodeId(0), l, NodeId(2));
+        let _ = fcp_route(&topo, &s, NodeId(0), l, NodeId(2), &mut scratch);
     }
 }

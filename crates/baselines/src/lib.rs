@@ -62,9 +62,9 @@ pub mod mrc;
 pub mod scheme;
 
 pub use emrc::Emrc;
-pub use fcp::{fcp_route, fcp_route_in, FcpAttempt, FcpOutcome, FcpScratch};
+pub use fcp::{fcp_route, FcpAttempt, FcpOutcome};
 pub use fep::Fep;
-pub use mrc::{mrc_recover, mrc_recover_in, Mrc, MrcAttempt, MrcError, MrcOutcome};
+pub use mrc::{mrc_recover, Mrc, MrcAttempt, MrcError, MrcOutcome};
 pub use scheme::{
     Fcp, RecoveryScheme, RouteOutcome, Rtr, SchemeAttempt, SchemeCtx, SchemeId, SchemeMask,
 };

@@ -274,21 +274,10 @@ impl Mrc {
 
     /// The backup path from `src` to `dest` in configuration `config`, on
     /// the *intact* topology (MRC is proactive: backup paths never learn
-    /// about failures beyond the configuration switch).
+    /// about failures beyond the configuration switch). Reuses the
+    /// caller's Dijkstra buffers — the per-case MRC computation in the
+    /// evaluation hot loop.
     pub fn backup_path(
-        &self,
-        topo: &Topology,
-        config: usize,
-        src: NodeId,
-        dest: NodeId,
-    ) -> Option<Path> {
-        self.backup_path_in(topo, config, src, dest, &mut DijkstraScratch::new())
-    }
-
-    /// Like [`backup_path`](Self::backup_path), but reuses the caller's
-    /// Dijkstra buffers — the per-case MRC computation in the evaluation
-    /// hot loop.
-    pub fn backup_path_in(
         &self,
         topo: &Topology,
         config: usize,
@@ -344,37 +333,6 @@ impl MrcAttempt {
     }
 }
 
-/// Recovers one packet at `initiator` whose default next hop over
-/// `failed_link` is unreachable, destined to `dest`, over ground truth
-/// `view`.
-///
-/// Per the MRC switching rule: if the unreachable next hop *is* the
-/// destination, switch to the configuration isolating the link; otherwise
-/// switch to the configuration isolating the next-hop node.
-///
-/// *Deprecated-documented*: new code should route through the
-/// [`RecoveryScheme`](crate::RecoveryScheme) trait (implemented by
-/// [`Mrc`] itself); this free function remains as a thin convenience
-/// wrapper.
-pub fn mrc_recover(
-    topo: &Topology,
-    mrc: &Mrc,
-    view: &impl GraphView,
-    initiator: NodeId,
-    failed_link: LinkId,
-    dest: NodeId,
-) -> MrcAttempt {
-    mrc_recover_in(
-        topo,
-        mrc,
-        view,
-        initiator,
-        failed_link,
-        dest,
-        &mut DijkstraScratch::new(),
-    )
-}
-
 /// The MRC switching rule at `at` observing dead `trigger` toward `dest`:
 /// the configuration isolating the link when the lost next hop *is* the
 /// destination, else the one isolating the next-hop node. Shared with
@@ -394,9 +352,18 @@ pub(crate) fn switching_config(
     }
 }
 
-/// Like [`mrc_recover`], but reuses the caller's Dijkstra buffers across
-/// cases.
-pub fn mrc_recover_in(
+/// Recovers one packet at `initiator` whose default next hop over
+/// `failed_link` is unreachable, destined to `dest`, over ground truth
+/// `view`.
+///
+/// Per the MRC switching rule: if the unreachable next hop *is* the
+/// destination, switch to the configuration isolating the link; otherwise
+/// switch to the configuration isolating the next-hop node.
+///
+/// `scratch` holds the Dijkstra buffers for the backup-path computation,
+/// reused across cases. [`Mrc`]'s
+/// [`RecoveryScheme`](crate::RecoveryScheme) impl adapts this function.
+pub fn mrc_recover(
     topo: &Topology,
     mrc: &Mrc,
     view: &impl GraphView,
@@ -416,7 +383,7 @@ pub fn mrc_recover_in(
         };
     };
 
-    let Some(path) = mrc.backup_path_in(topo, config, initiator, dest, scratch) else {
+    let Some(path) = mrc.backup_path(topo, config, initiator, dest, scratch) else {
         return MrcAttempt {
             outcome: MrcOutcome::NoBackupPath,
             config_used: Some(config),
@@ -505,13 +472,14 @@ mod tests {
     fn backup_path_avoids_isolated_transit() {
         let topo = generate::isp_like(25, 60, 2000.0, 7).unwrap();
         let mrc = Mrc::build(&topo, 4).unwrap();
+        let mut sp = DijkstraScratch::new();
         for cfg in 0..4 {
             for s in topo.node_ids().take(6) {
                 for t in topo.node_ids().take(6) {
                     if s == t {
                         continue;
                     }
-                    if let Some(p) = mrc.backup_path(&topo, cfg, s, t) {
+                    if let Some(p) = mrc.backup_path(&topo, cfg, s, t, &mut sp) {
                         for &mid in &p.nodes()[1..p.nodes().len() - 1] {
                             assert_ne!(
                                 mrc.node_configuration(mid),
@@ -538,6 +506,7 @@ mod tests {
             .find(|&n| mrc.node_configuration(n).is_some())
             .expect("some node is protectable");
         let s = FailureScenario::from_parts(&topo, [victim], []);
+        let mut sp = DijkstraScratch::new();
         // Pick a live neighbor as initiator.
         let &(initiator, failed_link) = topo
             .neighbors(victim)
@@ -554,7 +523,7 @@ mod tests {
             if !rtr_topology::is_reachable(&topo, &s, initiator, dest) {
                 continue;
             }
-            let a = mrc_recover(&topo, &mrc, &s, initiator, failed_link, dest);
+            let a = mrc_recover(&topo, &mrc, &s, initiator, failed_link, dest, &mut sp);
             assert!(
                 a.is_delivered(),
                 "single node failure must recover to {dest} (config {:?})",
@@ -568,6 +537,7 @@ mod tests {
         let topo = generate::isp_like(40, 100, 2000.0, 13).unwrap();
         let mrc = Mrc::build(&topo, 5).unwrap();
         let s = FailureScenario::from_region(&topo, &Region::circle((1000.0, 1000.0), 400.0));
+        let mut sp = DijkstraScratch::new();
         let mut attempts = 0;
         let mut failures = 0;
         for n in topo.node_ids() {
@@ -582,7 +552,7 @@ mod tests {
                     if dest == n {
                         continue;
                     }
-                    let a = mrc_recover(&topo, &mrc, &s, n, l, dest);
+                    let a = mrc_recover(&topo, &mrc, &s, n, l, dest, &mut sp);
                     attempts += 1;
                     if !a.is_delivered() {
                         failures += 1;
@@ -609,7 +579,8 @@ mod tests {
             .unwrap();
         let (a, b) = topo.link(l).endpoints();
         let s = FailureScenario::single_link(&topo, l);
-        let attempt = mrc_recover(&topo, &mrc, &s, a, l, b);
+        let mut sp = DijkstraScratch::new();
+        let attempt = mrc_recover(&topo, &mrc, &s, a, l, b, &mut sp);
         assert_eq!(attempt.config_used, mrc.link_configuration(l));
         assert!(
             attempt.is_delivered(),

@@ -10,13 +10,14 @@
 //! `SessionPool` in the hot loops). Attempts never mutate the scheme, so
 //! one `Arc<dyn RecoveryScheme>` serves any number of workers.
 
-use crate::fcp::FcpOutcome;
-use crate::mrc::{mrc_recover_in, Mrc, MrcOutcome};
+use crate::fcp::{fcp_route, FcpOutcome};
+use crate::mrc::{mrc_recover, Mrc, MrcOutcome};
 use rtr_core::phase2::DeliveryOutcome;
 use rtr_core::{RtrSession, SchemeScratch};
+use rtr_obs::NoopSink;
 use rtr_routing::RoutingTable;
 use rtr_sim::{ForwardingTrace, CONFIG_ID_BYTES};
-use rtr_topology::{CrossLinkTable, GraphView, LinkId, NodeId, Topology};
+use rtr_topology::{CrossLinkTable, FullView, GraphView, LinkId, NodeId, Topology};
 
 /// Stable identifier of a recovery backend. The discriminant doubles as
 /// the wire code of `rtr-serve`'s scheme-selector byte (0 = RTR, the
@@ -212,7 +213,7 @@ impl SchemeAttempt {
 ///
 /// `failed_link` must be incident to `initiator` and unusable in `view`
 /// (it is the observed default next-hop failure that triggered recovery —
-/// the same precondition as [`fcp_route_in`] and RTR's phase 1).
+/// the same precondition as [`fcp_route`] and RTR's phase 1).
 /// Implementations may panic on violations; the serving layer validates
 /// requests before dispatching.
 ///
@@ -263,7 +264,7 @@ pub trait RecoveryScheme: std::fmt::Debug + Send + Sync {
 }
 
 /// FCP as a [`RecoveryScheme`]: per-encounter recomputation over the
-/// believed topology, exactly [`fcp_route_in`].
+/// believed topology, exactly [`fcp_route`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Fcp;
 
@@ -281,15 +282,7 @@ impl RecoveryScheme for Fcp {
         dest: NodeId,
         scratch: &mut SchemeScratch,
     ) -> SchemeAttempt {
-        let attempt = crate::fcp::fcp_route_scratch(
-            ctx.topo,
-            &view,
-            initiator,
-            failed_link,
-            dest,
-            &mut scratch.sp,
-            &mut scratch.mask,
-        );
+        let attempt = fcp_route(ctx.topo, &view, initiator, failed_link, dest, scratch);
         SchemeAttempt {
             outcome: match attempt.outcome {
                 FcpOutcome::Delivered => RouteOutcome::Delivered,
@@ -327,7 +320,7 @@ impl RecoveryScheme for Mrc {
         dest: NodeId,
         scratch: &mut SchemeScratch,
     ) -> SchemeAttempt {
-        let attempt = mrc_recover_in(
+        let attempt = mrc_recover(
             ctx.topo,
             self,
             &view,
@@ -386,13 +379,15 @@ impl RecoveryScheme for Rtr {
         dest: NodeId,
         scratch: &mut SchemeScratch,
     ) -> SchemeAttempt {
-        let session = RtrSession::start_in(
+        let session = RtrSession::start(
             ctx.topo,
             ctx.crosslinks,
             &view,
+            &FullView,
             initiator,
             failed_link,
             &mut scratch.recovery,
+            &mut NoopSink,
         );
         let Ok(mut session) = session else {
             // No live neighbor: phase 1 cannot even start, the packet is
@@ -438,7 +433,8 @@ impl RecoveryScheme for Rtr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtr_topology::{generate, FailureScenario, FullView};
+    use rtr_routing::DijkstraScratch;
+    use rtr_topology::{generate, FailureScenario};
 
     #[test]
     fn ids_round_trip_and_name() {
@@ -552,9 +548,10 @@ mod tests {
             .unwrap();
         let (a, b) = topo.link(l).endpoints();
         let s = FailureScenario::single_link(&topo, l);
+        let mut sp = DijkstraScratch::new();
         let mut scratch = SchemeScratch::new();
         let got = mrc.route_in(ctx, &s, a, l, b, &mut scratch);
-        let reference = crate::mrc::mrc_recover(&topo, &mrc, &s, a, l, b);
+        let reference = mrc_recover(&topo, &mrc, &s, a, l, b, &mut sp);
         assert_eq!(got.is_delivered(), reference.is_delivered());
         assert_eq!(got.cost_traversed, reference.cost_traversed);
         assert_eq!(got.sp_calculations, 0);

@@ -7,7 +7,7 @@ use rtr_baselines::{
     SchemeCtx,
 };
 use rtr_core::SchemeScratch;
-use rtr_routing::{shortest_path, RoutingTable};
+use rtr_routing::{shortest_path, DijkstraScratch, RoutingTable};
 use rtr_topology::{
     generate, is_reachable, CrossLinkTable, FailureScenario, FullView, GraphView, LinkId, NodeId,
     Region, Topology,
@@ -42,12 +42,13 @@ proptest! {
         let m = (2 * n).min(n * (n - 1) / 2);
         let topo = generate::isp_like(n, m, 2000.0, seed).unwrap();
         let s = FailureScenario::from_region(&topo, &Region::circle((cx, cy), r));
+        let mut scratch = SchemeScratch::new();
         for (initiator, failed) in entry_points(&topo, &s).into_iter().take(3) {
             for dest in topo.node_ids().step_by(3) {
                 if dest == initiator {
                     continue;
                 }
-                let attempt = fcp_route(&topo, &s, initiator, failed, dest);
+                let attempt = fcp_route(&topo, &s, initiator, failed, dest, &mut scratch);
                 prop_assert_eq!(
                     attempt.is_delivered(),
                     is_reachable(&topo, &s, initiator, dest),
@@ -70,12 +71,13 @@ proptest! {
         let m = (2 * n).min(n * (n - 1) / 2);
         let topo = generate::isp_like(n, m, 2000.0, seed).unwrap();
         let s = FailureScenario::from_region(&topo, &Region::circle((cx, cy), r));
+        let mut scratch = SchemeScratch::new();
         for (initiator, failed) in entry_points(&topo, &s).into_iter().take(2) {
             for dest in topo.node_ids().step_by(4) {
                 if dest == initiator {
                     continue;
                 }
-                let attempt = fcp_route(&topo, &s, initiator, failed, dest);
+                let attempt = fcp_route(&topo, &s, initiator, failed, dest, &mut scratch);
                 for l in &attempt.carried_failures {
                     prop_assert!(!s.is_link_usable(&topo, l));
                 }
@@ -115,11 +117,12 @@ proptest! {
         let (a, b) = topo.link(failed_link).endpoints();
         // Fail node b (the next hop as seen from a).
         let s = FailureScenario::from_parts(&topo, [b], []);
+        let mut sp = DijkstraScratch::new();
         for dest in topo.node_ids().step_by(3) {
             if dest == a || dest == b {
                 continue;
             }
-            let attempt = mrc_recover(&topo, &mrc, &s, a, failed_link, dest);
+            let attempt = mrc_recover(&topo, &mrc, &s, a, failed_link, dest, &mut sp);
             if attempt.is_delivered() {
                 let p = attempt.path.as_ref().unwrap();
                 prop_assert!(!p.nodes().contains(&b), "backup path visits the dead node");
@@ -142,6 +145,7 @@ proptest! {
             return Ok(());
         };
         let s = FailureScenario::from_parts(&topo, [victim], []);
+        let mut sp = DijkstraScratch::new();
         let mut cases = 0usize;
         let mut delivered = 0usize;
         for &(nbr, _) in topo.neighbors(victim).iter().take(2) {
@@ -153,7 +157,7 @@ proptest! {
                 if dest == nbr || dest == victim || !is_reachable(&topo, &s, nbr, dest) {
                     continue;
                 }
-                let attempt = mrc_recover(&topo, &mrc, &s, nbr, failed_link, dest);
+                let attempt = mrc_recover(&topo, &mrc, &s, nbr, failed_link, dest, &mut sp);
                 cases += 1;
                 if attempt.is_delivered() {
                     delivered += 1;

@@ -7,6 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtr_bench::fixture;
+use rtr_core::SessionPool;
 use rtr_routing::{bfs_hops, dijkstra::dijkstra, IncrementalSpt};
 use rtr_topology::geometry::segments_cross;
 use rtr_topology::{CrossLinkTable, FullView, GraphView, LinkId, LinkMask};
@@ -89,16 +90,18 @@ fn bench_path_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("recovery_path_cache");
     let f = fixture("AS3320", 250.0);
     let dests: Vec<_> = f.topo.node_ids().filter(|&t| t != f.initiator).collect();
+    let pool = SessionPool::new();
     g.bench_function("cached_session", |b| {
         b.iter(|| {
-            let mut session = rtr_core::RtrSession::start(
-                &f.topo,
-                &f.crosslinks,
-                &f.scenario,
-                f.initiator,
-                f.failed_link,
-            )
-            .expect("recoverable case: live initiator with a failed incident link");
+            let mut session = pool
+                .start_session(
+                    &f.topo,
+                    &f.crosslinks,
+                    &f.scenario,
+                    f.initiator,
+                    f.failed_link,
+                )
+                .expect("recoverable case: live initiator with a failed incident link");
             // All destinations against one session: phase 1 + one SPT.
             for &t in &dests {
                 black_box(session.recover(t));
@@ -109,14 +112,15 @@ fn bench_path_cache(c: &mut Criterion) {
         b.iter(|| {
             // A fresh session per destination: phase 1 and SPT every time.
             for &t in &dests {
-                let mut session = rtr_core::RtrSession::start(
-                    &f.topo,
-                    &f.crosslinks,
-                    &f.scenario,
-                    f.initiator,
-                    f.failed_link,
-                )
-                .expect("recoverable case: live initiator with a failed incident link");
+                let mut session = pool
+                    .start_session(
+                        &f.topo,
+                        &f.crosslinks,
+                        &f.scenario,
+                        f.initiator,
+                        f.failed_link,
+                    )
+                    .expect("recoverable case: live initiator with a failed incident link");
                 black_box(session.recover(t));
             }
         })

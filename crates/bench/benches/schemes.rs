@@ -6,7 +6,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtr_baselines::{Fcp, Mrc, RecoveryScheme, SchemeCtx};
 use rtr_bench::{fixture, Fixture};
-use rtr_core::{collect_failure_info, RtrSession, SchemeScratch};
+use rtr_core::{collect_failure_info, SchemeScratch, SessionPool};
+use rtr_obs::NoopSink;
 use std::hint::black_box;
 
 fn scheme_ctx(f: &Fixture) -> SchemeCtx<'_> {
@@ -29,6 +30,7 @@ fn bench_phase1(c: &mut Criterion) {
                     &f.scenario,
                     f.initiator,
                     f.failed_link,
+                    &mut NoopSink,
                 ))
             })
         });
@@ -40,16 +42,18 @@ fn bench_full_rtr_case(c: &mut Criterion) {
     let mut g = c.benchmark_group("rtr_full_case");
     for name in ["AS1239", "AS3320", "AS7018"] {
         let f = fixture(name, 250.0);
+        let pool = SessionPool::new();
         g.bench_with_input(BenchmarkId::from_parameter(name), &f, |b, f| {
             b.iter(|| {
-                let mut session = RtrSession::start(
-                    &f.topo,
-                    &f.crosslinks,
-                    &f.scenario,
-                    f.initiator,
-                    f.failed_link,
-                )
-                .expect("recoverable case: live initiator with a failed incident link");
+                let mut session = pool
+                    .start_session(
+                        &f.topo,
+                        &f.crosslinks,
+                        &f.scenario,
+                        f.initiator,
+                        f.failed_link,
+                    )
+                    .expect("recoverable case: live initiator with a failed incident link");
                 black_box(session.recover(f.recoverable_dest))
             })
         });

@@ -8,6 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rtr_bench::fixture;
 use rtr_core::phase1::collect_failure_info;
 use rtr_core::sweep::{select_next_hop, SweepContext};
+use rtr_obs::NoopSink;
 use rtr_sim::LinkIdSet;
 use std::hint::black_box;
 
@@ -59,6 +60,7 @@ fn bench_sweep(c: &mut Criterion) {
                 &f.scenario,
                 black_box(f.initiator),
                 f.failed_link,
+                &mut NoopSink,
             ))
         })
     });

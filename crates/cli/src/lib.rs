@@ -17,7 +17,7 @@
 #![forbid(unsafe_code)]
 
 use rtr_baselines::{RouteOutcome, SchemeCtx, SchemeId, SchemeMask};
-use rtr_core::{RtrSession, SchemeScratch};
+use rtr_core::{Phase1Error, SchemeScratch, SessionPool};
 use rtr_eval::schemes::build_comparators;
 use rtr_routing::RoutingTable;
 use rtr_sim::{CaseKind, DelayModel, Network};
@@ -246,9 +246,17 @@ fn recover(args: &[String]) -> Result<(), String> {
     match scheme.as_str() {
         "rtr" => {
             let crosslinks = CrossLinkTable::new(&topo);
+            let pool = SessionPool::new();
             let mut session =
-                RtrSession::start(&topo, &crosslinks, &scenario, initiator, failed_link)
-                    .expect("recoverable case: live initiator with a failed incident link");
+                match pool.start_session(&topo, &crosslinks, &scenario, initiator, failed_link) {
+                    Ok(session) => session,
+                    Err(Phase1Error::NoLiveNeighbor { .. }) => {
+                        println!("phase 1: {initiator} has no live neighbor to sweep from");
+                        println!("phase 2: packet discarded at the initiator");
+                        return Ok(());
+                    }
+                    Err(e) => return Err(e.to_string()),
+                };
             let p1 = session.phase1();
             println!(
                 "phase 1: {} hops in {}, collected {} failed links, {} cross links",
@@ -420,6 +428,42 @@ mod tests {
             "carrier-pigeon"
         ]))
         .is_err());
+    }
+
+    #[test]
+    fn recover_from_isolated_initiator_discards_at_the_initiator() {
+        // v0 hangs off v1 alone; the circle destroys v1, leaving v0 alive
+        // with no live neighbor. The case is irrecoverable and phase 1
+        // cannot start: RTR must report the discard, not panic.
+        let dir = std::env::temp_dir().join("rtr_cli_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("pendant.topo");
+        std::fs::write(
+            &file,
+            "node 0 0\nnode 100 0\nnode 200 0\nnode 200 100\nnode 100 100\n\
+             link 0 1\nlink 1 2\nlink 2 3\nlink 3 4\nlink 4 1\n",
+        )
+        .unwrap();
+        let file_s = file.to_str().unwrap().to_string();
+        let topo = load_topology(&file_s).unwrap();
+        let region = parse_circle("100,0,10").unwrap();
+        let scenario = FailureScenario::from_region(&topo, &region);
+        let table = RoutingTable::compute(&topo, &FullView);
+        let net = Network::new(&topo, &scenario, &table);
+        assert!(matches!(
+            net.classify(NodeId(0), NodeId(3)),
+            CaseKind::Irrecoverable {
+                initiator: NodeId(0),
+                ..
+            }
+        ));
+        for scheme in ["rtr", "fcp"] {
+            run(&sv(&[
+                "recover", &file_s, "--circle", "100,0,10", "--from", "v0", "--to", "v3",
+                "--scheme", scheme,
+            ]))
+            .unwrap();
+        }
     }
 
     #[test]

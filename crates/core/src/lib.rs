@@ -15,7 +15,8 @@
 //!    shortest paths (incremental SPT, cached per destination), and
 //!    source-routes packets along them.
 //!
-//! [`RtrSession`] ties both phases together for one recovery initiator.
+//! [`RtrSession`] ties both phases together for one recovery initiator;
+//! [`SessionPool`] starts sessions from recycled buffers.
 //!
 //! Properties (proved in the paper, tested here):
 //! * **Theorem 1** — phase 1 never loops forever;
@@ -28,7 +29,7 @@
 //!
 //! ```
 //! use rtr_topology::{generate, CrossLinkTable, FailureScenario, NodeId, Region};
-//! use rtr_core::RtrSession;
+//! use rtr_core::SessionPool;
 //!
 //! // A 5x5 grid whose centre is wiped out by a circular failure.
 //! let topo = generate::grid(5, 5, 100.0);
@@ -39,7 +40,8 @@
 //! // Node 11 (west of the centre) loses its eastward next hop; recover.
 //! let initiator = NodeId(11);
 //! let failed = topo.link_between(initiator, NodeId(12)).unwrap();
-//! let mut session = RtrSession::start(&topo, &crosslinks, &scenario, initiator, failed)?;
+//! let pool = SessionPool::new();
+//! let mut session = pool.start_session(&topo, &crosslinks, &scenario, initiator, failed)?;
 //! assert!(session.phase1().is_complete());
 //! let attempt = session.recover(NodeId(13)); // the node east of the dead centre
 //! assert!(attempt.is_delivered());
@@ -59,13 +61,8 @@ pub mod sweep;
 
 pub use error::Phase1Error;
 pub use multi::{recover_multi_area, MultiAreaOutcome};
-pub use phase1::{
-    collect_failure_info, collect_failure_info_traced, Phase1Result, Phase1Termination,
-};
-pub use phase2::{
-    source_route_walk, source_route_walk_reusing, source_route_walk_traced, DeliveryOutcome,
-    RecoveryComputer, RecoveryScratch,
-};
+pub use phase1::{collect_failure_info, Phase1Result, Phase1Termination};
+pub use phase2::{source_route_walk, DeliveryOutcome, RecoveryComputer, RecoveryScratch};
 pub use pool::{DijkstraLease, PooledSession, SchemeLease, SchemeScratch, SessionPool, SptLease};
 pub use recovery::{RecoveryAttempt, RtrSession};
 pub use sweep::SweepContext;

@@ -17,6 +17,7 @@
 use crate::error::Phase1Error;
 use crate::phase1::collect_failure_info;
 use crate::phase2::DeliveryOutcome;
+use rtr_obs::NoopSink;
 use rtr_routing::{IncrementalSpt, BYTES_PER_HOP};
 use rtr_sim::{ForwardingTrace, LinkIdSet};
 use rtr_topology::{CrossLinkTable, GraphView, LinkId, LinkMask, NodeId, Topology};
@@ -78,7 +79,14 @@ pub fn recover_multi_area(
         sessions += 1;
 
         // Phase 1 at the current initiator.
-        let p1 = collect_failure_info(topo, crosslinks, view, cur_initiator, cur_failed)?;
+        let p1 = collect_failure_info(
+            topo,
+            crosslinks,
+            view,
+            cur_initiator,
+            cur_failed,
+            &mut NoopSink,
+        )?;
         if p1.trace.hops() > 0 {
             trace.extend_with(&p1.trace);
         }
@@ -161,7 +169,7 @@ pub fn recover_multi_area(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recovery::RtrSession;
+    use crate::SessionPool;
     use rtr_topology::{generate, FailureScenario, Region};
 
     fn entry_point(topo: &Topology, s: &FailureScenario) -> Option<(NodeId, LinkId)> {
@@ -202,7 +210,10 @@ mod tests {
         let (topo, s, initiator, failed) =
             scenario_with_entry(&Region::circle((1000.0, 1000.0), 250.0), 30, 70);
         let xl = CrossLinkTable::new(&topo);
-        let mut session = RtrSession::start(&topo, &xl, &s, initiator, failed).unwrap();
+        let pool = SessionPool::new();
+        let mut session = pool
+            .start_session(&topo, &xl, &s, initiator, failed)
+            .unwrap();
         for dest in topo.node_ids() {
             if dest == initiator {
                 continue;
@@ -228,10 +239,13 @@ mod tests {
         ]);
         let (topo, s, initiator, failed) = scenario_with_entry(&region, 45, 110);
         let xl = CrossLinkTable::new(&topo);
+        let pool = SessionPool::new();
 
         let mut plain_failures = 0;
         let mut multi_rescues = 0;
-        let mut session = RtrSession::start(&topo, &xl, &s, initiator, failed).unwrap();
+        let mut session = pool
+            .start_session(&topo, &xl, &s, initiator, failed)
+            .unwrap();
         for dest in topo.node_ids() {
             if dest == initiator || !rtr_topology::is_reachable(&topo, &s, initiator, dest) {
                 continue;
@@ -304,8 +318,15 @@ mod tests {
         let mut sessions = 0usize;
         while sessions < max_sessions {
             sessions += 1;
-            let p1 =
-                collect_failure_info(topo, crosslinks, view, cur_initiator, cur_failed).unwrap();
+            let p1 = collect_failure_info(
+                topo,
+                crosslinks,
+                view,
+                cur_initiator,
+                cur_failed,
+                &mut NoopSink,
+            )
+            .unwrap();
             for l in p1.header.failed_links() {
                 carried.insert(l);
             }

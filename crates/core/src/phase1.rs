@@ -61,6 +61,13 @@ impl Phase1Result {
 /// hop; nothing is read globally: every decision uses only the local
 /// liveness of the current node's incident links plus the packet header).
 ///
+/// `sink` receives [`Event::SweepHop`] once per recorded hop (so the event
+/// count equals [`ForwardingTrace::hops`]), and [`Event::CrossLinkExcluded`]
+/// / [`Event::FailedLinkAppended`] once per link *newly* recorded in the
+/// header (duplicates are silent, so event count × `LINK_ID_BYTES` is
+/// exactly the header overhead). Pass [`rtr_obs::NoopSink`] to trace
+/// nothing.
+///
 /// # Errors
 ///
 /// * [`Phase1Error::LinkNotIncident`] / [`Phase1Error::LinkStillUsable`]
@@ -70,36 +77,7 @@ impl Phase1Result {
 ///   and no collection packet can be sent;
 /// * [`Phase1Error::WalkStuck`] when `view` is inconsistent mid-walk
 ///   (impossible under a static scenario).
-pub fn collect_failure_info(
-    topo: &Topology,
-    crosslinks: &CrossLinkTable,
-    view: &impl GraphView,
-    initiator: NodeId,
-    failed_default_link: LinkId,
-) -> Result<Phase1Result, Phase1Error> {
-    collect_failure_info_traced(
-        topo,
-        crosslinks,
-        view,
-        initiator,
-        failed_default_link,
-        &mut NoopSink,
-    )
-}
-
-/// [`collect_failure_info`] with an observability [`TraceSink`].
-///
-/// Emits [`Event::SweepHop`] once per recorded hop (so the event count
-/// equals [`ForwardingTrace::hops`]), [`Event::CrossLinkExcluded`] /
-/// [`Event::FailedLinkAppended`] once per link *newly* recorded in the
-/// header (duplicates are silent, so event count × `LINK_ID_BYTES` is
-/// exactly the header overhead). With [`NoopSink`] this monomorphizes to
-/// the untraced walk.
-///
-/// # Errors
-///
-/// Exactly those of [`collect_failure_info`].
-pub fn collect_failure_info_traced<S: TraceSink>(
+pub fn collect_failure_info<S: TraceSink>(
     topo: &Topology,
     crosslinks: &CrossLinkTable,
     view: &impl GraphView,
@@ -284,7 +262,7 @@ mod tests {
         let s = FailureScenario::from_parts(&topo, [NodeId(0)], []);
         // v1's spoke to the hub failed; v1 initiates.
         let spoke = topo.link_between(NodeId(1), NodeId(0)).unwrap();
-        let r = collect_failure_info(&topo, &xl, &s, NodeId(1), spoke).unwrap();
+        let r = collect_failure_info(&topo, &xl, &s, NodeId(1), spoke, &mut NoopSink).unwrap();
         assert!(r.is_complete());
         // The walk visits every rim node and returns to v1.
         let visited: std::collections::HashSet<NodeId> = r.trace.nodes().collect();
@@ -310,7 +288,7 @@ mod tests {
         let xl = CrossLinkTable::new(&topo);
         let rim = topo.link_between(NodeId(1), NodeId(2)).unwrap();
         let s = FailureScenario::single_link(&topo, rim);
-        let r = collect_failure_info(&topo, &xl, &s, NodeId(1), rim).unwrap();
+        let r = collect_failure_info(&topo, &xl, &s, NodeId(1), rim, &mut NoopSink).unwrap();
         assert!(r.is_complete());
         // The only failed link is incident to the initiator: nothing to
         // record, and the initiator can see it locally.
@@ -324,7 +302,7 @@ mod tests {
         // Everything around v1 dead.
         let s = FailureScenario::from_parts(&topo, [NodeId(0), NodeId(2), NodeId(6)], []);
         let spoke = topo.link_between(NodeId(1), NodeId(0)).unwrap();
-        let r = collect_failure_info(&topo, &xl, &s, NodeId(1), spoke);
+        let r = collect_failure_info(&topo, &xl, &s, NodeId(1), spoke, &mut NoopSink);
         assert_eq!(
             r.unwrap_err(),
             Phase1Error::NoLiveNeighbor {
@@ -339,7 +317,7 @@ mod tests {
         let xl = CrossLinkTable::new(&topo);
         let s = FailureScenario::none(&topo);
         let spoke = topo.link_between(NodeId(1), NodeId(0)).unwrap();
-        let r = collect_failure_info(&topo, &xl, &s, NodeId(1), spoke);
+        let r = collect_failure_info(&topo, &xl, &s, NodeId(1), spoke, &mut NoopSink);
         assert_eq!(r.unwrap_err(), Phase1Error::LinkStillUsable { link: spoke });
     }
 
@@ -349,7 +327,7 @@ mod tests {
         let xl = CrossLinkTable::new(&topo);
         let s = FailureScenario::from_parts(&topo, [NodeId(0)], []);
         let far = topo.link_between(NodeId(3), NodeId(4)).unwrap();
-        let r = collect_failure_info(&topo, &xl, &s, NodeId(1), far);
+        let r = collect_failure_info(&topo, &xl, &s, NodeId(1), far, &mut NoopSink);
         assert_eq!(
             r.unwrap_err(),
             Phase1Error::LinkNotIncident {
@@ -365,7 +343,7 @@ mod tests {
         let xl = CrossLinkTable::new(&topo);
         let s = FailureScenario::from_parts(&topo, [NodeId(0)], []);
         let spoke = topo.link_between(NodeId(1), NodeId(0)).unwrap();
-        let r = collect_failure_info(&topo, &xl, &s, NodeId(1), spoke).unwrap();
+        let r = collect_failure_info(&topo, &xl, &s, NodeId(1), spoke, &mut NoopSink).unwrap();
         let bytes: Vec<usize> = r.trace.steps().iter().map(|s| s.header_bytes).collect();
         assert!(
             bytes.windows(2).all(|w| w[0] <= w[1]),
@@ -381,7 +359,7 @@ mod tests {
         let s = FailureScenario::from_parts(&topo, [NodeId(0)], []);
         let spoke = topo.link_between(NodeId(1), NodeId(0)).unwrap();
         let mut sink = rtr_obs::CollectingSink::new();
-        let r = collect_failure_info_traced(&topo, &xl, &s, NodeId(1), spoke, &mut sink).unwrap();
+        let r = collect_failure_info(&topo, &xl, &s, NodeId(1), spoke, &mut sink).unwrap();
         // One SweepHop per recorded hop.
         let hops = sink
             .events()
@@ -402,7 +380,7 @@ mod tests {
             .count();
         assert_eq!(recorded * rtr_sim::LINK_ID_BYTES, r.header.overhead_bytes());
         // The traced walk equals the untraced one.
-        let u = collect_failure_info(&topo, &xl, &s, NodeId(1), spoke).unwrap();
+        let u = collect_failure_info(&topo, &xl, &s, NodeId(1), spoke, &mut NoopSink).unwrap();
         assert_eq!(u.header.overhead_bytes(), r.header.overhead_bytes());
         assert_eq!(u.trace.hops(), r.trace.hops());
     }
@@ -439,7 +417,7 @@ mod tests {
         );
 
         let s = FailureScenario::single_link(&topo, failed);
-        let r = collect_failure_info(&topo, &xl, &s, v0, failed).unwrap();
+        let r = collect_failure_info(&topo, &xl, &s, v0, failed, &mut NoopSink).unwrap();
         assert!(r.is_complete());
         // Constraint 1 seeded cross_link with the failed link.
         assert!(r.header.cross_links().contains(failed));
@@ -495,7 +473,7 @@ pub fn collect_failure_info_thorough(
     let mut header = CollectionHeader::new(initiator);
     let mut total_hops = 0;
     for &l in &dead {
-        let r = collect_failure_info(topo, crosslinks, view, initiator, l)?;
+        let r = collect_failure_info(topo, crosslinks, view, initiator, l, &mut NoopSink)?;
         total_hops += r.trace.hops();
         for f in r.header.failed_links() {
             header.record_failed_link(f);

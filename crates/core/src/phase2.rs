@@ -9,10 +9,10 @@
 //! per-test-case computational overhead is exactly one shortest-path
 //! calculation — the paper's Table III/IV "RTR = 1" column.
 
-use rtr_obs::{DiscardReason, Event, NoopSink, TraceSink};
-use rtr_routing::{IncrementalSpt, Path, SourceRoute, SptScratch, BYTES_PER_HOP};
+use rtr_obs::{DiscardReason, Event, TraceSink};
+use rtr_routing::{IncrementalSpt, Path, SptScratch, BYTES_PER_HOP};
 use rtr_sim::{CollectionHeader, ForwardingTrace, LinkIdSet};
-use rtr_topology::{FullView, GraphView, LinkId, NodeId, Topology};
+use rtr_topology::{GraphView, LinkId, NodeId, Topology};
 
 /// Reusable buffers for building [`RecoveryComputer`]s without per-case
 /// allocations: the SPT label/repair buffers plus the path cache.
@@ -37,64 +37,24 @@ pub struct RecoveryComputer<'a> {
 
 impl<'a> RecoveryComputer<'a> {
     /// Builds the initiator's believed view from the phase-1 header plus
-    /// its locally known failed incident links, and computes the SPT once.
+    /// its locally known failed incident links, and computes the SPT once,
+    /// emitting one [`Event::SptRecompute`] into `sink` for that
+    /// shortest-path calculation (the Table IV `#SP` unit).
+    ///
+    /// The believed topology starts from `believed_base` — the initiator's
+    /// *converged* routing view. Pass [`rtr_topology::FullView`] for the
+    /// intact topology; under a churn timeline the base is the (possibly
+    /// stale) link view the IGP last converged to, so the recovery SPT
+    /// excludes both the links the initiator already knew were down and
+    /// the ones phase 1 just collected.
     ///
     /// `local_view` is used only to enumerate the *initiator's own*
     /// unreachable neighbors — information a real router has locally.
-    pub fn new(
-        topo: &'a Topology,
-        local_view: &impl GraphView,
-        initiator: NodeId,
-        header: &CollectionHeader,
-    ) -> Self {
-        Self::new_in(
-            topo,
-            local_view,
-            initiator,
-            header,
-            &mut RecoveryScratch::default(),
-        )
-    }
-
-    /// Like [`new`](Self::new), but takes the SPT and cache buffers out of
-    /// `scratch` (leaving it empty) instead of allocating fresh ones.
-    /// [`recycle`](Self::recycle) gives them back.
-    pub fn new_in(
-        topo: &'a Topology,
-        local_view: &impl GraphView,
-        initiator: NodeId,
-        header: &CollectionHeader,
-        scratch: &mut RecoveryScratch,
-    ) -> Self {
-        Self::new_traced_in(topo, local_view, initiator, header, scratch, &mut NoopSink)
-    }
-
-    /// [`new_in`](Self::new_in) with an observability [`TraceSink`]: emits
-    /// one [`Event::SptRecompute`] for the shortest-path calculation the
-    /// construction performs. With [`NoopSink`] this monomorphizes to
-    /// `new_in`.
-    pub fn new_traced_in<S: TraceSink>(
-        topo: &'a Topology,
-        local_view: &impl GraphView,
-        initiator: NodeId,
-        header: &CollectionHeader,
-        scratch: &mut RecoveryScratch,
-        sink: &mut S,
-    ) -> Self {
-        Self::new_based_traced_in(
-            topo, &FullView, local_view, initiator, header, scratch, sink,
-        )
-    }
-
-    /// Like [`new_traced_in`](Self::new_traced_in), but the initiator's
-    /// believed topology starts from `believed_base` — its *converged*
-    /// routing view — instead of the intact topology. Under a churn
-    /// timeline the base is the (possibly stale) link view the IGP last
-    /// converged to, so the recovery SPT excludes both the links the
-    /// initiator already knew were down and the ones phase 1 just
-    /// collected. With [`rtr_topology::FullView`] as the base this is
-    /// exactly `new_traced_in`.
-    pub fn new_based_traced_in<S: TraceSink>(
+    ///
+    /// The SPT and cache buffers are taken out of `scratch` (leaving it
+    /// empty) instead of allocated fresh; [`recycle`](Self::recycle) gives
+    /// them back.
+    pub fn new<S: TraceSink>(
         topo: &'a Topology,
         believed_base: &impl GraphView,
         local_view: &impl GraphView,
@@ -118,7 +78,11 @@ impl<'a> RecoveryComputer<'a> {
             initiator,
             std::mem::take(&mut scratch.spt),
         );
-        spt.remove_links_traced(removed.iter(), sink);
+        spt.remove_links(removed.iter());
+        sink.emit(Event::SptRecompute {
+            source: initiator,
+            nodes_touched: spt.nodes_touched(),
+        });
         let mut cache = std::mem::take(&mut scratch.cache);
         cache.clear();
         cache.resize(topo.node_count(), None);
@@ -161,16 +125,11 @@ impl<'a> RecoveryComputer<'a> {
 
     /// The believed shortest recovery path to `dest`, or `None` when the
     /// initiator's view has no route (the packet is discarded on arrival).
-    /// Results are cached per destination (§III-D).
-    pub fn recovery_path(&mut self, dest: NodeId) -> Option<Path> {
-        self.recovery_path_ref(dest).cloned()
-    }
-
-    /// Borrowing form of [`Self::recovery_path`]: fills the per-destination
-    /// cache on first use, then hands out `&Path` without cloning — the
+    /// Results are cached per destination (§III-D): the first lookup fills
+    /// the cache, and every lookup hands out `&Path` without cloning — the
     /// zero-allocation steady-state lookup used by
     /// [`crate::RtrSession::recover_reusing`].
-    pub fn recovery_path_ref(&mut self, dest: NodeId) -> Option<&Path> {
+    pub fn recovery_path(&mut self, dest: NodeId) -> Option<&Path> {
         let not_yet_computed = self.cache.get(dest.index()).is_some_and(Option::is_none);
         if not_yet_computed {
             let path = self.spt.path_to(dest);
@@ -182,11 +141,6 @@ impl<'a> RecoveryComputer<'a> {
             .get(dest.index())
             .and_then(Option::as_ref)
             .and_then(Option::as_ref)
-    }
-
-    /// The source route the initiator writes into recovered packets.
-    pub fn source_route(&mut self, dest: NodeId) -> Option<SourceRoute> {
-        self.recovery_path(dest).map(|p| SourceRoute::from_path(&p))
     }
 }
 
@@ -206,42 +160,19 @@ pub enum DeliveryOutcome {
     NoPath,
 }
 
-/// Walks a believed recovery path over the ground truth `view`, producing
-/// the delivery outcome and the hop-by-hop trace (header bytes = remaining
-/// source-route bytes, which shrink as hops are consumed).
-pub fn source_route_walk(
-    topo: &Topology,
-    view: &impl GraphView,
-    initiator: NodeId,
-    path: Option<&Path>,
-) -> (DeliveryOutcome, ForwardingTrace) {
-    source_route_walk_traced(topo, view, initiator, path, &mut NoopSink)
-}
-
-/// [`source_route_walk`] with an observability [`TraceSink`]: emits
-/// [`Event::SourceRouteInstalled`] when a believed path exists, and
-/// [`Event::PacketDiscarded`] when the packet fails to reach `dest`
-/// (immediately at the initiator for [`DeliveryOutcome::NoPath`], at the
-/// node before the dead link for [`DeliveryOutcome::HitFailure`]). With
-/// [`NoopSink`] this monomorphizes to `source_route_walk`.
-pub fn source_route_walk_traced<S: TraceSink>(
-    topo: &Topology,
-    view: &impl GraphView,
-    initiator: NodeId,
-    path: Option<&Path>,
-    sink: &mut S,
-) -> (DeliveryOutcome, ForwardingTrace) {
-    let mut trace = ForwardingTrace::default();
-    let outcome = source_route_walk_reusing(topo, view, initiator, path, &mut trace, sink);
-    (outcome, trace)
-}
-
-/// [`source_route_walk_traced`] writing into a caller-owned trace:
+/// Walks a believed recovery path over the ground truth `view`, writing
+/// the hop-by-hop walk into the caller-owned `trace` (header bytes =
+/// remaining source-route bytes, which shrink as hops are consumed).
 /// `trace` is restarted at `initiator` and then filled hop by hop, so a
 /// warm trace re-used across recoveries never reallocates (the
 /// steady-state contract checked by
 /// `crates/core/tests/alloc_discipline.rs`).
-pub fn source_route_walk_reusing<S: TraceSink>(
+///
+/// `sink` receives [`Event::SourceRouteInstalled`] when a believed path
+/// exists, and [`Event::PacketDiscarded`] when the packet fails to reach
+/// `dest` (immediately at the initiator for [`DeliveryOutcome::NoPath`],
+/// at the node before the dead link for [`DeliveryOutcome::HitFailure`]).
+pub fn source_route_walk<S: TraceSink>(
     topo: &Topology,
     view: &impl GraphView,
     initiator: NodeId,
@@ -288,7 +219,8 @@ pub fn source_route_walk_reusing<S: TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtr_topology::{generate, FailureScenario, NodeId};
+    use rtr_obs::{CollectingSink, NoopSink};
+    use rtr_topology::{generate, FailureScenario, FullView, NodeId};
 
     // Grid fixture: kill the centre of a 3x3 grid; node 3 recovers to 5.
     fn fixture() -> (rtr_topology::Topology, FailureScenario) {
@@ -305,12 +237,41 @@ mod tests {
         h
     }
 
+    fn computer<'a>(
+        topo: &'a rtr_topology::Topology,
+        s: &FailureScenario,
+        initiator: NodeId,
+        header: &CollectionHeader,
+    ) -> RecoveryComputer<'a> {
+        let mut scratch = RecoveryScratch::default();
+        RecoveryComputer::new(
+            topo,
+            &FullView,
+            s,
+            initiator,
+            header,
+            &mut scratch,
+            &mut NoopSink,
+        )
+    }
+
+    fn walk(
+        topo: &rtr_topology::Topology,
+        s: &FailureScenario,
+        initiator: NodeId,
+        path: Option<&Path>,
+    ) -> (DeliveryOutcome, ForwardingTrace) {
+        let mut trace = ForwardingTrace::default();
+        let outcome = source_route_walk(topo, s, initiator, path, &mut trace, &mut NoopSink);
+        (outcome, trace)
+    }
+
     #[test]
     fn computes_shortest_path_in_believed_view() {
         let (topo, s) = fixture();
         // Phase 1 collected the other spokes of the dead centre.
         let header = header_with(&topo, &[(1, 4), (4, 5), (4, 7)]);
-        let mut rc = RecoveryComputer::new(&topo, &s, NodeId(3), &header);
+        let mut rc = computer(&topo, &s, NodeId(3), &header);
         assert_eq!(rc.initiator(), NodeId(3));
         assert_eq!(rc.sp_calculations(), 1);
         let p = rc.recovery_path(NodeId(5)).unwrap();
@@ -322,12 +283,37 @@ mod tests {
     }
 
     #[test]
+    fn new_emits_one_spt_recompute_event() {
+        let (topo, s) = fixture();
+        let header = header_with(&topo, &[(1, 4), (4, 5), (4, 7)]);
+        let mut scratch = RecoveryScratch::default();
+        let mut sink = CollectingSink::new();
+        let rc = RecoveryComputer::new(
+            &topo,
+            &FullView,
+            &s,
+            NodeId(3),
+            &header,
+            &mut scratch,
+            &mut sink,
+        );
+        assert!(rc.nodes_touched() > 0);
+        assert_eq!(
+            sink.events(),
+            &[Event::SptRecompute {
+                source: NodeId(3),
+                nodes_touched: rc.nodes_touched(),
+            }]
+        );
+    }
+
+    #[test]
     fn cache_returns_identical_results_without_recomputation() {
         let (topo, s) = fixture();
         let header = header_with(&topo, &[(1, 4), (4, 5), (4, 7)]);
-        let mut rc = RecoveryComputer::new(&topo, &s, NodeId(3), &header);
-        let a = rc.recovery_path(NodeId(5));
-        let b = rc.recovery_path(NodeId(5));
+        let mut rc = computer(&topo, &s, NodeId(3), &header);
+        let a = rc.recovery_path(NodeId(5)).cloned();
+        let b = rc.recovery_path(NodeId(5)).cloned();
         assert_eq!(a, b);
         assert_eq!(rc.sp_calculations(), 1);
         // Several destinations, still one calculation.
@@ -341,18 +327,17 @@ mod tests {
         let topo = generate::path(3, 10.0).unwrap();
         let s = FailureScenario::from_parts(&topo, [NodeId(1)], []);
         let header = CollectionHeader::new(NodeId(0));
-        let mut rc = RecoveryComputer::new(&topo, &s, NodeId(0), &header);
+        let mut rc = computer(&topo, &s, NodeId(0), &header);
         assert_eq!(rc.recovery_path(NodeId(2)), None);
-        assert_eq!(rc.source_route(NodeId(2)), None);
     }
 
     #[test]
     fn delivery_on_live_path() {
         let (topo, s) = fixture();
         let header = header_with(&topo, &[(1, 4), (4, 5), (4, 7)]);
-        let mut rc = RecoveryComputer::new(&topo, &s, NodeId(3), &header);
+        let mut rc = computer(&topo, &s, NodeId(3), &header);
         let p = rc.recovery_path(NodeId(5));
-        let (outcome, trace) = source_route_walk(&topo, &s, NodeId(3), p.as_ref());
+        let (outcome, trace) = walk(&topo, &s, NodeId(3), p);
         assert_eq!(outcome, DeliveryOutcome::Delivered);
         assert_eq!(trace.hops(), 4);
         assert_eq!(trace.current_node(), NodeId(5));
@@ -381,11 +366,11 @@ mod tests {
         let s = FailureScenario::from_parts(&topo, [], [l12, l23]);
 
         let header = CollectionHeader::new(v1);
-        let mut rc = RecoveryComputer::new(&topo, &s, v1, &header);
+        let mut rc = computer(&topo, &s, v1, &header);
         assert!(rc.removed_links().contains(l12), "local knowledge merged");
         let p = rc.recovery_path(v3).unwrap();
         assert_eq!(p.nodes(), &[v1, v4, v2, v3]);
-        let (outcome, trace) = source_route_walk(&topo, &s, v1, Some(&p));
+        let (outcome, trace) = walk(&topo, &s, v1, Some(p));
         assert_eq!(outcome, DeliveryOutcome::HitFailure { at_link: l23 });
         assert_eq!(trace.hops(), 2);
         assert_eq!(trace.current_node(), v2);
@@ -395,7 +380,7 @@ mod tests {
     fn no_path_walk_is_immediate_discard() {
         let topo = generate::path(3, 10.0).unwrap();
         let s = FailureScenario::from_parts(&topo, [NodeId(1)], []);
-        let (outcome, trace) = source_route_walk(&topo, &s, NodeId(0), None);
+        let (outcome, trace) = walk(&topo, &s, NodeId(0), None);
         assert_eq!(outcome, DeliveryOutcome::NoPath);
         assert_eq!(trace.hops(), 0);
     }

@@ -1,7 +1,7 @@
 //! One checkout/return facade over the three scratch-buffer idioms the
 //! evaluation hot loops grew: [`DijkstraScratch`] reuse, [`SptScratch`] +
 //! [`IncrementalSpt`] rebuilds, and [`RecoveryScratch`] +
-//! [`RtrSession::start_in`]/`recycle`.
+//! [`RtrSession::start`]/`recycle`.
 //!
 //! A [`SessionPool`] owns freelists of all three buffer kinds. Checkouts
 //! hand back RAII guards that deref to the live object and return the
@@ -15,8 +15,9 @@
 use crate::error::Phase1Error;
 use crate::phase2::RecoveryScratch;
 use crate::recovery::RtrSession;
+use rtr_obs::NoopSink;
 use rtr_routing::{DijkstraScratch, IncrementalSpt, SptScratch};
-use rtr_topology::{CrossLinkTable, GraphView, LinkId, LinkMask, NodeId, Topology};
+use rtr_topology::{CrossLinkTable, FullView, GraphView, LinkId, LinkMask, NodeId, Topology};
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 
@@ -93,26 +94,14 @@ impl SessionPool {
         initiator: NodeId,
         failed_default_link: LinkId,
     ) -> Result<PooledSession<'p, 'a, V>, Phase1Error> {
-        let mut scratch = self.recovery.borrow_mut().pop().unwrap_or_default();
-        match RtrSession::start_in(
+        self.start_based_session(
             topo,
             crosslinks,
             view,
+            &FullView,
             initiator,
             failed_default_link,
-            &mut scratch,
-        ) {
-            Ok(session) => Ok(PooledSession {
-                pool: self,
-                session: Some(session),
-                scratch: Some(scratch),
-            }),
-            Err(e) => {
-                // start_in leaves the scratch untouched on failure.
-                self.recovery.borrow_mut().push(scratch);
-                Err(e)
-            }
-        }
+        )
     }
 
     /// Starts an [`RtrSession`] whose phase-2 tree is seeded from
@@ -136,7 +125,7 @@ impl SessionPool {
         failed_default_link: LinkId,
     ) -> Result<PooledSession<'p, 'a, V>, Phase1Error> {
         let mut scratch = self.recovery.borrow_mut().pop().unwrap_or_default();
-        match RtrSession::start_based_traced_in(
+        match RtrSession::start(
             topo,
             crosslinks,
             view,
@@ -144,7 +133,7 @@ impl SessionPool {
             initiator,
             failed_default_link,
             &mut scratch,
-            &mut rtr_obs::NoopSink,
+            &mut NoopSink,
         ) {
             Ok(session) => Ok(PooledSession {
                 pool: self,
@@ -152,8 +141,7 @@ impl SessionPool {
                 scratch: Some(scratch),
             }),
             Err(e) => {
-                // start_based_traced_in leaves the scratch untouched on
-                // failure.
+                // RtrSession::start leaves the scratch untouched on failure.
                 self.recovery.borrow_mut().push(scratch);
                 Err(e)
             }

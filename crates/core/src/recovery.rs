@@ -4,15 +4,12 @@
 //! at a recovery initiator and can benefit all destinations").
 
 use crate::error::Phase1Error;
-use crate::phase1::{collect_failure_info, collect_failure_info_traced, Phase1Result};
-use crate::phase2::{
-    source_route_walk_reusing, source_route_walk_traced, DeliveryOutcome, RecoveryComputer,
-    RecoveryScratch,
-};
+use crate::phase1::{collect_failure_info, Phase1Result};
+use crate::phase2::{source_route_walk, DeliveryOutcome, RecoveryComputer, RecoveryScratch};
 use rtr_obs::{NoopSink, TraceSink};
 use rtr_routing::Path;
 use rtr_sim::ForwardingTrace;
-use rtr_topology::{CrossLinkTable, GraphView, LinkId, NodeId, Topology};
+use rtr_topology::{CrossLinkTable, FullView, GraphView, LinkId, NodeId, Topology};
 
 /// One recovery attempt for a destination.
 #[derive(Debug, Clone)]
@@ -46,8 +43,22 @@ pub struct RtrSession<'a, V> {
 impl<'a, V: GraphView> RtrSession<'a, V> {
     /// Starts RTR at `initiator`, whose default next hop over
     /// `failed_default_link` is unreachable: runs the phase-1 collection
-    /// walk, merges the collected failures with the initiator's local
-    /// knowledge, and computes the recovery SPT.
+    /// walk over the ground truth `view`, merges the collected failures
+    /// with the initiator's local knowledge, and computes the recovery SPT.
+    ///
+    /// The initiator's believed topology starts from `believed_base`: pass
+    /// [`FullView`] for the intact topology, or — on a churn timeline —
+    /// the (possibly stale) converged link view its IGP last gave it, so
+    /// the phase-2 SPT excludes the base view's known-dead links *plus*
+    /// everything the sweep collected.
+    ///
+    /// The recovery computer is built from the recycled buffers in
+    /// `scratch` (see [`RecoveryScratch`]); hand them back with
+    /// [`recycle`](Self::recycle) when the session is done. When phase 1
+    /// fails, `scratch` is left untouched. `sink` receives the phase-1
+    /// sweep events and the phase-2
+    /// [`SptRecompute`](rtr_obs::Event::SptRecompute). Callers that want
+    /// the defaults go through [`crate::SessionPool::start_session`].
     ///
     /// # Errors
     ///
@@ -55,101 +66,8 @@ impl<'a, V: GraphView> RtrSession<'a, V> {
     /// violation ([`Phase1Error::LinkNotIncident`],
     /// [`Phase1Error::LinkStillUsable`]) or an initiator with no live
     /// neighbor ([`Phase1Error::NoLiveNeighbor`]).
-    pub fn start(
-        topo: &'a Topology,
-        crosslinks: &CrossLinkTable,
-        view: &'a V,
-        initiator: NodeId,
-        failed_default_link: LinkId,
-    ) -> Result<Self, Phase1Error> {
-        Self::start_in(
-            topo,
-            crosslinks,
-            view,
-            initiator,
-            failed_default_link,
-            &mut RecoveryScratch::default(),
-        )
-    }
-
-    /// Like [`start`](Self::start), but builds the recovery computer from
-    /// recycled buffers (see [`RecoveryScratch`]) so the evaluation hot
-    /// loop starts sessions without transient allocations. Hand the
-    /// buffers back with [`recycle`](Self::recycle) when the session is
-    /// done. When phase 1 fails, `scratch` is left untouched.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`RtrSession::start`].
-    pub fn start_in(
-        topo: &'a Topology,
-        crosslinks: &CrossLinkTable,
-        view: &'a V,
-        initiator: NodeId,
-        failed_default_link: LinkId,
-        scratch: &mut RecoveryScratch,
-    ) -> Result<Self, Phase1Error> {
-        Self::start_traced_in(
-            topo,
-            crosslinks,
-            view,
-            initiator,
-            failed_default_link,
-            scratch,
-            &mut NoopSink,
-        )
-    }
-
-    /// [`start_in`](Self::start_in) with an observability
-    /// [`TraceSink`] receiving the phase-1 sweep events and the phase-2
-    /// [`SptRecompute`](rtr_obs::Event::SptRecompute). With [`NoopSink`]
-    /// this monomorphizes to `start_in`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`RtrSession::start`].
-    pub fn start_traced_in<S: TraceSink>(
-        topo: &'a Topology,
-        crosslinks: &CrossLinkTable,
-        view: &'a V,
-        initiator: NodeId,
-        failed_default_link: LinkId,
-        scratch: &mut RecoveryScratch,
-        sink: &mut S,
-    ) -> Result<Self, Phase1Error> {
-        let phase1 = collect_failure_info_traced(
-            topo,
-            crosslinks,
-            view,
-            initiator,
-            failed_default_link,
-            sink,
-        )?;
-        let computer =
-            RecoveryComputer::new_traced_in(topo, view, initiator, &phase1.header, scratch, sink);
-        Ok(RtrSession {
-            topo,
-            view,
-            phase1,
-            computer,
-        })
-    }
-
-    /// Like [`start_traced_in`](Self::start_traced_in), but the
-    /// initiator's believed topology starts from `believed_base` — the
-    /// (possibly stale) converged link view its IGP last gave it —
-    /// instead of the intact topology. This is the churn-timeline entry
-    /// point: phase 1 still sweeps the ground truth `view`, while the
-    /// phase-2 recovery SPT excludes the base view's known-dead links
-    /// *plus* everything the sweep collected. With
-    /// [`FullView`](rtr_topology::FullView) as the base this is exactly
-    /// `start_traced_in`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`RtrSession::start`].
-    #[allow(clippy::too_many_arguments)] // start_traced_in plus the one base-view knob.
-    pub fn start_based_traced_in<S: TraceSink>(
+    #[allow(clippy::too_many_arguments)] // phase-1 inputs plus base view, scratch and sink.
+    pub fn start<S: TraceSink>(
         topo: &'a Topology,
         crosslinks: &CrossLinkTable,
         view: &'a V,
@@ -159,15 +77,9 @@ impl<'a, V: GraphView> RtrSession<'a, V> {
         scratch: &mut RecoveryScratch,
         sink: &mut S,
     ) -> Result<Self, Phase1Error> {
-        let phase1 = collect_failure_info_traced(
-            topo,
-            crosslinks,
-            view,
-            initiator,
-            failed_default_link,
-            sink,
-        )?;
-        let computer = RecoveryComputer::new_based_traced_in(
+        let phase1 =
+            collect_failure_info(topo, crosslinks, view, initiator, failed_default_link, sink)?;
+        let computer = RecoveryComputer::new(
             topo,
             believed_base,
             view,
@@ -205,27 +117,13 @@ impl<'a, V: GraphView> RtrSession<'a, V> {
         self.computer.sp_calculations()
     }
 
-    /// The believed recovery path to `dest` (cached per destination).
-    pub fn recovery_path(&mut self, dest: NodeId) -> Option<Path> {
-        self.computer.recovery_path(dest)
-    }
-
     /// Recovers traffic toward `dest`: computes (or fetches) the believed
     /// shortest path and source-routes one packet along it over the ground
     /// truth.
     pub fn recover(&mut self, dest: NodeId) -> RecoveryAttempt {
-        self.recover_traced(dest, &mut NoopSink)
-    }
-
-    /// [`recover`](Self::recover) with an observability [`TraceSink`]
-    /// receiving the packet's
-    /// [`SourceRouteInstalled`](rtr_obs::Event::SourceRouteInstalled) /
-    /// [`PacketDiscarded`](rtr_obs::Event::PacketDiscarded) events. With
-    /// [`NoopSink`] this monomorphizes to `recover`.
-    pub fn recover_traced<S: TraceSink>(&mut self, dest: NodeId, sink: &mut S) -> RecoveryAttempt {
-        let path = self.computer.recovery_path(dest);
-        let (outcome, trace) =
-            source_route_walk_traced(self.topo, self.view, self.initiator(), path.as_ref(), sink);
+        let mut trace = ForwardingTrace::default();
+        let outcome = self.recover_reusing(dest, &mut trace, &mut NoopSink);
+        let path = self.computer.recovery_path(dest).cloned();
         RecoveryAttempt {
             outcome,
             path,
@@ -246,8 +144,8 @@ impl<'a, V: GraphView> RtrSession<'a, V> {
         sink: &mut S,
     ) -> DeliveryOutcome {
         let initiator = self.computer.initiator();
-        let path = self.computer.recovery_path_ref(dest);
-        source_route_walk_reusing(self.topo, self.view, initiator, path, trace, sink)
+        let path = self.computer.recovery_path(dest);
+        source_route_walk(self.topo, self.view, initiator, path, trace, sink)
     }
 
     /// Access to the underlying recovery computer (for extensions such as
@@ -276,10 +174,25 @@ impl<'a, V: GraphView> RtrSession<'a, V> {
         initiator: NodeId,
         failed_default_link: LinkId,
     ) -> Result<(Self, usize), Phase1Error> {
-        let phase1 = collect_failure_info(topo, crosslinks, view, initiator, failed_default_link)?;
+        let phase1 = collect_failure_info(
+            topo,
+            crosslinks,
+            view,
+            initiator,
+            failed_default_link,
+            &mut NoopSink,
+        )?;
         let thorough =
             crate::phase1::collect_failure_info_thorough(topo, crosslinks, view, initiator)?;
-        let computer = RecoveryComputer::new(topo, view, initiator, &thorough.header);
+        let computer = RecoveryComputer::new(
+            topo,
+            &FullView,
+            view,
+            initiator,
+            &thorough.header,
+            &mut RecoveryScratch::default(),
+            &mut NoopSink,
+        );
         let total_hops = thorough.total_hops;
         Ok((
             RtrSession {
@@ -296,6 +209,8 @@ impl<'a, V: GraphView> RtrSession<'a, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SessionPool;
+    use rtr_obs::{CollectingSink, Event};
     use rtr_topology::{generate, FailureScenario, Point, Region};
 
     /// Wheel with dead hub: every rim-to-rim recovery succeeds optimally.
@@ -316,7 +231,10 @@ mod tests {
         let xl = CrossLinkTable::new(&topo);
         let s = FailureScenario::from_parts(&topo, [NodeId(0)], []);
         let spoke = topo.link_between(NodeId(1), NodeId(0)).unwrap();
-        let mut session = RtrSession::start(&topo, &xl, &s, NodeId(1), spoke).unwrap();
+        let pool = SessionPool::new();
+        let mut session = pool
+            .start_session(&topo, &xl, &s, NodeId(1), spoke)
+            .unwrap();
         assert!(session.phase1().is_complete());
         assert_eq!(session.initiator(), NodeId(1));
 
@@ -344,7 +262,10 @@ mod tests {
         let xl = CrossLinkTable::new(&topo);
         let s = FailureScenario::from_parts(&topo, [NodeId(4)], []);
         let failed = topo.link_between(NodeId(3), NodeId(4)).unwrap();
-        let mut session = RtrSession::start(&topo, &xl, &s, NodeId(3), failed).unwrap();
+        let pool = SessionPool::new();
+        let mut session = pool
+            .start_session(&topo, &xl, &s, NodeId(3), failed)
+            .unwrap();
         let mut trace = ForwardingTrace::default();
         for dest in topo.node_ids() {
             if dest == NodeId(3) {
@@ -359,30 +280,42 @@ mod tests {
     }
 
     #[test]
-    fn based_start_with_full_view_matches_plain_start() {
+    fn traced_start_over_full_view_matches_pooled_start() {
         let topo = generate::grid(4, 4, 10.0);
         let xl = CrossLinkTable::new(&topo);
         let s = FailureScenario::from_parts(&topo, [NodeId(5)], []);
         let failed = topo.link_between(NodeId(4), NodeId(5)).unwrap();
-        let mut scratch = crate::phase2::RecoveryScratch::default();
-        let mut based = RtrSession::start_based_traced_in(
+        let mut scratch = RecoveryScratch::default();
+        let mut sink = CollectingSink::new();
+        let mut traced = RtrSession::start(
             &topo,
             &xl,
             &s,
-            &rtr_topology::FullView,
+            &FullView,
             NodeId(4),
             failed,
             &mut scratch,
-            &mut rtr_obs::NoopSink,
+            &mut sink,
         )
         .unwrap();
-        let mut plain = RtrSession::start(&topo, &xl, &s, NodeId(4), failed).unwrap();
+        let count = |want: fn(&Event) -> bool| sink.events().iter().filter(|e| want(e)).count();
+        assert_eq!(
+            count(|e| matches!(e, Event::SweepHop { .. })),
+            traced.phase1().trace.hops(),
+            "one SweepHop per phase-1 hop"
+        );
+        assert_eq!(count(|e| matches!(e, Event::SptRecompute { .. })), 1);
+
+        let pool = SessionPool::new();
+        let mut pooled = pool
+            .start_session(&topo, &xl, &s, NodeId(4), failed)
+            .unwrap();
         for dest in topo.node_ids() {
             if dest == NodeId(4) {
                 continue;
             }
-            let a = based.recover(dest);
-            let b = plain.recover(dest);
+            let a = traced.recover(dest);
+            let b = pooled.recover(dest);
             assert_eq!(a.outcome, b.outcome, "outcome for {dest}");
             assert_eq!(a.path, b.path, "path for {dest}");
         }
@@ -401,8 +334,8 @@ mod tests {
         let l45 = topo.link_between(NodeId(4), NodeId(5)).unwrap();
         let truth = rtr_topology::LinkMask::from_links(&topo, [l01, l45]);
         let stale_base = rtr_topology::LinkMask::from_links(&topo, [l45]);
-        let mut scratch = crate::phase2::RecoveryScratch::default();
-        let mut session = RtrSession::start_based_traced_in(
+        let mut scratch = RecoveryScratch::default();
+        let mut session = RtrSession::start(
             &topo,
             &xl,
             &truth,
@@ -436,7 +369,10 @@ mod tests {
         let xl = CrossLinkTable::new(&topo);
         let s = FailureScenario::from_parts(&topo, [NodeId(2)], []);
         let failed = topo.link_between(NodeId(1), NodeId(2)).unwrap();
-        let mut session = RtrSession::start(&topo, &xl, &s, NodeId(1), failed).unwrap();
+        let pool = SessionPool::new();
+        let mut session = pool
+            .start_session(&topo, &xl, &s, NodeId(1), failed)
+            .unwrap();
         let attempt = session.recover(NodeId(3));
         assert_eq!(attempt.outcome, DeliveryOutcome::NoPath);
         assert_eq!(attempt.trace.hops(), 0);
@@ -466,7 +402,10 @@ mod tests {
             .find(|&&(_, l)| !s.is_neighbor_reachable(&topo, initiator, l))
             .map(|&(_, l)| l)
             .unwrap();
-        let mut session = RtrSession::start(&topo, &xl, &s, initiator, failed).unwrap();
+        let pool = SessionPool::new();
+        let mut session = pool
+            .start_session(&topo, &xl, &s, initiator, failed)
+            .unwrap();
         assert!(session.phase1().is_complete());
 
         // Every delivered recovery is optimal (Theorem 2).

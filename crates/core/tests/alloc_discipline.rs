@@ -5,13 +5,13 @@
 //! `cargo xtask analyze` (see `crates/xtask/src/rules/alloc.rs`): the rule
 //! proves the configured steady-state functions are lexically free of
 //! allocating constructors, and this test proves the whole
-//! [`RtrSession::recover_reusing`] call graph is transitively
+//! [`rtr_core::RtrSession::recover_reusing`] call graph is transitively
 //! allocation-free once its buffers reach their high-water marks.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use rtr_core::RtrSession;
+use rtr_core::SessionPool;
 use rtr_obs::NoopSink;
 use rtr_sim::ForwardingTrace;
 use rtr_topology::{generate, CrossLinkTable, FailureScenario, NodeId};
@@ -64,13 +64,15 @@ fn steady_state_recovery_allocates_nothing() {
     // 3x3 grid, centre node dead; node 3 is the recovery initiator.
     let topo = generate::grid(3, 3, 10.0);
     let crosslinks = CrossLinkTable::new(&topo);
+    let pool = SessionPool::new();
     let scenario = FailureScenario::from_parts(&topo, [NodeId(4)], []);
     let initiator = NodeId(3);
     let failed = topo
         .link_between(initiator, NodeId(4))
         .expect("grid neighbours share a link");
 
-    let mut session = RtrSession::start(&topo, &crosslinks, &scenario, initiator, failed)
+    let mut session = pool
+        .start_session(&topo, &crosslinks, &scenario, initiator, failed)
         .expect("phase 1 succeeds on the grid fixture");
     let mut trace = ForwardingTrace::default();
     let mut sink = NoopSink;

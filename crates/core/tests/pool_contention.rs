@@ -83,7 +83,9 @@ fn transcript(
     scenarios: &[FailureScenario],
     spec: &Spec,
 ) -> String {
-    let view = &scenarios[spec.scenario];
+    let Some(view) = scenarios.get(spec.scenario) else {
+        return format!("no-scenario {}", spec.scenario);
+    };
     let session = pool.start_session(topo, xl, view, spec.initiator, spec.failed_link);
     let mut session = match session {
         Ok(s) => s,

@@ -2,7 +2,8 @@
 //! the soundness invariant E1 ⊆ E2 used by Theorem 2's proof.
 
 use proptest::prelude::*;
-use rtr_core::{DeliveryOutcome, Phase1Termination, RtrSession};
+use rtr_core::{DeliveryOutcome, Phase1Termination, RtrSession, SessionPool};
+use rtr_obs::NoopSink;
 use rtr_routing::{shortest_path, RoutingTable};
 use rtr_sim::{CaseKind, Network};
 use rtr_topology::{
@@ -46,9 +47,10 @@ proptest! {
         let m = (n - 1 + extra).min(max);
         let topo = generate::isp_like(n, m, 2000.0, seed).unwrap();
         let crosslinks = CrossLinkTable::new(&topo);
+        let pool = SessionPool::new();
         let s = FailureScenario::from_region(&topo, &Region::circle((cx, cy), r));
         for (initiator, failed) in entry_points(&topo, &s) {
-            let session = RtrSession::start(&topo, &crosslinks, &s, initiator, failed).unwrap();
+            let session = pool.start_session(&topo, &crosslinks, &s, initiator, failed).unwrap();
             prop_assert_ne!(
                 session.phase1().termination,
                 Phase1Termination::StepBudgetExhausted,
@@ -72,9 +74,10 @@ proptest! {
         let m = (2 * n).min(n * (n - 1) / 2);
         let topo = generate::isp_like(n, m, 2000.0, seed).unwrap();
         let crosslinks = CrossLinkTable::new(&topo);
+        let pool = SessionPool::new();
         let s = FailureScenario::from_region(&topo, &Region::circle((cx, cy), r));
         for (initiator, failed) in entry_points(&topo, &s) {
-            let session = RtrSession::start(&topo, &crosslinks, &s, initiator, failed).unwrap();
+            let session = pool.start_session(&topo, &crosslinks, &s, initiator, failed).unwrap();
             for l in session.phase1().header.failed_links() {
                 prop_assert!(
                     !s.is_link_usable(&topo, l),
@@ -101,9 +104,10 @@ proptest! {
         let m = (2 * n).min(n * (n - 1) / 2);
         let topo = generate::isp_like(n, m, 2000.0, seed).unwrap();
         let crosslinks = CrossLinkTable::new(&topo);
+        let pool = SessionPool::new();
         let s = FailureScenario::from_region(&topo, &Region::circle((cx, cy), r));
         for (initiator, failed) in entry_points(&topo, &s).into_iter().take(3) {
-            let mut session = RtrSession::start(&topo, &crosslinks, &s, initiator, failed).unwrap();
+            let mut session = pool.start_session(&topo, &crosslinks, &s, initiator, failed).unwrap();
             for dest in topo.node_ids() {
                 if dest == initiator {
                     continue;
@@ -130,6 +134,7 @@ proptest! {
         let m = (2 * n).min(n * (n - 1) / 2);
         let topo = generate::isp_like(n, m, 2000.0, seed).unwrap();
         let crosslinks = CrossLinkTable::new(&topo);
+        let pool = SessionPool::new();
         let table = RoutingTable::compute(&topo, &FullView);
         let failed_link = rtr_topology::LinkId((link_pick % topo.link_count()) as u32);
         let s = FailureScenario::single_link(&topo, failed_link);
@@ -142,7 +147,7 @@ proptest! {
                 }
                 match net.classify(src, dest) {
                     CaseKind::Recoverable { initiator, failed_link: fl } => {
-                        let mut session = RtrSession::start(&topo, &crosslinks, &s, initiator, fl).unwrap();
+                        let mut session = pool.start_session(&topo, &crosslinks, &s, initiator, fl).unwrap();
                         let attempt = session.recover(dest);
                         prop_assert!(
                             attempt.is_delivered(),
@@ -174,9 +179,10 @@ proptest! {
         let m = (2 * n).min(n * (n - 1) / 2);
         let topo = generate::isp_like(n, m, 2000.0, seed).unwrap();
         let crosslinks = CrossLinkTable::new(&topo);
+        let pool = SessionPool::new();
         let s = FailureScenario::from_region(&topo, &Region::circle((cx, cy), r));
         for (initiator, failed) in entry_points(&topo, &s).into_iter().take(4) {
-            let session = RtrSession::start(&topo, &crosslinks, &s, initiator, failed).unwrap();
+            let session = pool.start_session(&topo, &crosslinks, &s, initiator, failed).unwrap();
             let nodes: Vec<NodeId> = session.phase1().trace.nodes().collect();
             for w in nodes.windows(2) {
                 let l = topo.link_between(w[0], w[1])
@@ -203,13 +209,14 @@ proptest! {
         let m = (2 * n).min(n * (n - 1) / 2);
         let topo = generate::isp_like(n, m, 2000.0, seed).unwrap();
         let crosslinks = CrossLinkTable::new(&topo);
+        let pool = SessionPool::new();
         let region = Region::Union(vec![
             Region::circle(c1, r1),
             Region::circle(c2, r2),
         ]);
         let s = FailureScenario::from_region(&topo, &region);
         for (initiator, failed) in entry_points(&topo, &s).into_iter().take(3) {
-            let mut session = RtrSession::start(&topo, &crosslinks, &s, initiator, failed).unwrap();
+            let mut session = pool.start_session(&topo, &crosslinks, &s, initiator, failed).unwrap();
             prop_assert_ne!(
                 session.phase1().termination,
                 Phase1Termination::StepBudgetExhausted
@@ -234,10 +241,13 @@ proptest! {
 fn all_isp_twins_recover_optimally() {
     for (profile, topo) in isp::all_twins() {
         let crosslinks = CrossLinkTable::new(&topo);
+        let pool = SessionPool::new();
         let s = FailureScenario::from_region(&topo, &Region::circle((1000.0, 1000.0), 250.0));
         let mut tested = 0;
         for (initiator, failed) in entry_points(&topo, &s).into_iter().take(5) {
-            let mut session = RtrSession::start(&topo, &crosslinks, &s, initiator, failed).unwrap();
+            let mut session = pool
+                .start_session(&topo, &crosslinks, &s, initiator, failed)
+                .unwrap();
             assert_ne!(
                 session.phase1().termination,
                 Phase1Termination::StepBudgetExhausted,
@@ -279,8 +289,15 @@ fn thorough_collection_is_sound_and_dominant() {
         let crosslinks = CrossLinkTable::new(&topo);
         let s = FailureScenario::from_region(&topo, &Region::circle((1000.0, 1000.0), 300.0));
         for (initiator, failed) in entry_points(&topo, &s).into_iter().take(4) {
-            let single =
-                rtr_core::collect_failure_info(&topo, &crosslinks, &s, initiator, failed).unwrap();
+            let single = rtr_core::collect_failure_info(
+                &topo,
+                &crosslinks,
+                &s,
+                initiator,
+                failed,
+                &mut NoopSink,
+            )
+            .unwrap();
             let thorough =
                 collect_failure_info_thorough(&topo, &crosslinks, &s, initiator).unwrap();
             // Soundness: only real failures.
@@ -330,9 +347,10 @@ proptest! {
         let base = generate::isp_like(n, m, 2000.0, seed).unwrap();
         let topo = generate::with_random_costs(&base, 1, 10, cost_seed);
         let crosslinks = CrossLinkTable::new(&topo);
+        let pool = SessionPool::new();
         let s = FailureScenario::from_region(&topo, &Region::circle((cx, cy), r));
         for (initiator, failed) in entry_points(&topo, &s).into_iter().take(3) {
-            let mut session = RtrSession::start(&topo, &crosslinks, &s, initiator, failed).unwrap();
+            let mut session = pool.start_session(&topo, &crosslinks, &s, initiator, failed).unwrap();
             prop_assert_ne!(
                 session.phase1().termination,
                 Phase1Termination::StepBudgetExhausted

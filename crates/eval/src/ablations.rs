@@ -14,7 +14,7 @@ use crate::config::ExperimentConfig;
 use crate::metrics::percentage;
 use crate::reports::TableReport;
 use crate::testcase::{generate_workload_shared, Workload};
-use rtr_core::RtrSession;
+use rtr_core::{RtrSession, SessionPool};
 use rtr_topology::isp;
 use std::collections::BTreeSet;
 
@@ -39,6 +39,7 @@ pub fn collection_ablation(w: &Workload) -> (VariantStats, VariantStats) {
     let mut thorough_cov = Vec::new();
     let mut single_hops = Vec::new();
     let mut thorough_hops = Vec::new();
+    let pool = SessionPool::new();
 
     for sc in &w.scenarios {
         let truth: Vec<_> = sc.scenario.unusable_links(w.topo()).collect();
@@ -49,9 +50,9 @@ pub fn collection_ablation(w: &Workload) -> (VariantStats, VariantStats) {
         }
         for (initiator, group) in by_initiator {
             let failed = group[0].failed_link;
-            let mut single =
-                RtrSession::start(w.topo(), w.crosslinks(), &sc.scenario, initiator, failed)
-                    .expect("recoverable case: live initiator with a failed incident link");
+            let mut single = pool
+                .start_session(w.topo(), w.crosslinks(), &sc.scenario, initiator, failed)
+                .expect("recoverable case: live initiator with a failed incident link");
             let (mut thorough, thorough_walk) = RtrSession::start_thorough(
                 w.topo(),
                 w.crosslinks(),
@@ -107,6 +108,7 @@ fn single_sweep_stats(w: &Workload) -> (f64, f64) {
     let mut delivered = 0usize;
     let mut cases = 0usize;
     let mut coverage = Vec::new();
+    let pool = SessionPool::new();
     for sc in &w.scenarios {
         let truth: Vec<_> = sc.scenario.unusable_links(w.topo()).collect();
         let mut by_initiator: std::collections::BTreeMap<_, Vec<_>> = Default::default();
@@ -114,14 +116,15 @@ fn single_sweep_stats(w: &Workload) -> (f64, f64) {
             by_initiator.entry(c.initiator).or_default().push(c);
         }
         for (initiator, group) in by_initiator {
-            let mut session = RtrSession::start(
-                w.topo(),
-                w.crosslinks(),
-                &sc.scenario,
-                initiator,
-                group[0].failed_link,
-            )
-            .expect("recoverable case: live initiator with a failed incident link");
+            let mut session = pool
+                .start_session(
+                    w.topo(),
+                    w.crosslinks(),
+                    &sc.scenario,
+                    initiator,
+                    group[0].failed_link,
+                )
+                .expect("recoverable case: live initiator with a failed incident link");
             let known = session.computer().removed_links();
             coverage.push(percentage(
                 truth.iter().filter(|&&l| known.contains(l)).count(),

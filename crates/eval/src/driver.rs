@@ -7,7 +7,7 @@
 //! Scenarios are independent, so [`run_workload`] maps contiguous
 //! scenario chunks across the [`crate::par`] executor (one scratch set
 //! per worker) and [`run_topologies`] maps whole topologies. Every
-//! per-scenario partial result ([`ScenarioOutcome`]) is folded into the
+//! per-scenario partial result (`ScenarioOutcome`) is folded into the
 //! final [`TopologyResults`] *in scenario order on one thread*, and the
 //! serial path (`--threads 1`) runs the exact same fold — so output is
 //! byte-identical at every worker count, floating-point sums included.

@@ -12,7 +12,7 @@ use crate::reports::{FigureReport, Series};
 use crate::testcase::{cases_for_scenario, random_region};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rtr_core::RtrSession;
+use rtr_core::SessionPool;
 use rtr_sim::{load, DelayModel, SimTime, TimedTrace};
 use rtr_topology::{isp, FailureScenario};
 
@@ -47,15 +47,17 @@ pub fn disaster_load(
         by_initiator.entry(c.initiator).or_default().push(c);
     }
     let delay = DelayModel::PAPER;
+    let pool = SessionPool::new();
     for (initiator, group) in by_initiator {
-        let mut session = RtrSession::start(
-            topo,
-            crosslinks,
-            &cases.scenario,
-            initiator,
-            group[0].failed_link,
-        )
-        .expect("recoverable case: live initiator with a failed incident link");
+        let mut session = pool
+            .start_session(
+                topo,
+                crosslinks,
+                &cases.scenario,
+                initiator,
+                group[0].failed_link,
+            )
+            .expect("recoverable case: live initiator with a failed incident link");
         let p1_end = delay.for_hops(session.phase1().trace.hops());
         flows.push(TimedTrace {
             trace: session.phase1().trace.clone(),

@@ -363,6 +363,7 @@ mod tests {
     use super::*;
     use crate::config::ExperimentConfig;
     use crate::testcase::generate_workload;
+    use rtr_core::SessionPool;
     use rtr_routing::dijkstra::dijkstra;
     use rtr_topology::generate;
 
@@ -421,6 +422,7 @@ mod tests {
         let cfg = ExperimentConfig::quick().with_cases(60);
         let w = generate_workload("t", topo, &cfg, 3);
         let comparators = build_comparators(w.topo(), cfg.schemes, 5).unwrap();
+        let pool = SessionPool::new();
         let mut rows = Vec::new();
         for sc in &w.scenarios {
             let mut by_initiator: std::collections::BTreeMap<_, Vec<&crate::testcase::TestCase>> =
@@ -430,9 +432,9 @@ mod tests {
             }
             for (initiator, cases) in by_initiator {
                 let failed = cases[0].failed_link;
-                let mut session =
-                    RtrSession::start(w.topo(), w.crosslinks(), &sc.scenario, initiator, failed)
-                        .expect("recoverable case: live initiator with a failed incident link");
+                let mut session = pool
+                    .start_session(w.topo(), w.crosslinks(), &sc.scenario, initiator, failed)
+                    .expect("recoverable case: live initiator with a failed incident link");
                 let optimal = dijkstra(w.topo(), &sc.scenario, initiator);
                 for case in cases {
                     let (row, series) = eval_recoverable(
@@ -500,6 +502,7 @@ mod tests {
         let cfg = ExperimentConfig::quick().with_cases(60);
         let w = generate_workload("t", topo, &cfg, 4);
         let comparators = build_comparators(w.topo(), cfg.schemes, 5).unwrap();
+        let pool = SessionPool::new();
         let mut rows = Vec::new();
         for sc in &w.scenarios {
             let mut by_initiator: std::collections::BTreeMap<_, Vec<&crate::testcase::TestCase>> =
@@ -509,9 +512,9 @@ mod tests {
             }
             for (initiator, cases) in by_initiator {
                 let failed = cases[0].failed_link;
-                let mut session =
-                    RtrSession::start(w.topo(), w.crosslinks(), &sc.scenario, initiator, failed)
-                        .expect("recoverable case: live initiator with a failed incident link");
+                let mut session = pool
+                    .start_session(w.topo(), w.crosslinks(), &sc.scenario, initiator, failed)
+                    .expect("recoverable case: live initiator with a failed incident link");
                 for case in cases {
                     let row = eval_irrecoverable(
                         w.scheme_ctx(),

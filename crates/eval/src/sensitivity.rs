@@ -12,7 +12,7 @@ use crate::reports::{FigureReport, Series};
 use crate::schemes::build_comparators;
 use crate::testcase::generate_workload_shared;
 use rtr_baselines::{SchemeId, SchemeMask};
-use rtr_core::{RtrSession, SchemeScratch};
+use rtr_core::{SchemeScratch, SessionPool};
 use rtr_topology::isp;
 
 /// Recovery rates of the three schemes at one radius.
@@ -43,6 +43,7 @@ pub fn sweep_radius(
         .expect("twins are connected");
     let ctx = baseline.scheme_ctx();
     let mut scratch = SchemeScratch::new();
+    let pool = SessionPool::new();
     for &radius in radii {
         let fixed = ExperimentConfig {
             radius_min: radius,
@@ -63,14 +64,15 @@ pub fn sweep_radius(
                 by_initiator.entry(c.initiator).or_default().push(c);
             }
             for (initiator, group) in by_initiator {
-                let mut session = RtrSession::start(
-                    w.topo(),
-                    w.crosslinks(),
-                    &sc.scenario,
-                    initiator,
-                    group[0].failed_link,
-                )
-                .expect("recoverable case: live initiator with a failed incident link");
+                let mut session = pool
+                    .start_session(
+                        w.topo(),
+                        w.crosslinks(),
+                        &sc.scenario,
+                        initiator,
+                        group[0].failed_link,
+                    )
+                    .expect("recoverable case: live initiator with a failed incident link");
                 for case in group {
                     cases += 1;
                     if session.recover(case.dest).is_delivered() {

@@ -14,7 +14,7 @@ use crate::reports::TableReport;
 use crate::testcase::cases_for_scenario;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtr_core::RtrSession;
+use rtr_core::SessionPool;
 use rtr_routing::shortest_path;
 use rtr_topology::{isp, FailureScenario, Point, Polygon, Region};
 
@@ -101,6 +101,7 @@ pub fn evaluate_shape(
     let mut delivered = 0usize;
     let mut optimal = 0usize;
     let mut walk_hops = Vec::new();
+    let pool = SessionPool::new();
 
     let mut guard = 0;
     while cases < cfg.cases_per_class && guard < 100_000 {
@@ -119,14 +120,15 @@ pub fn evaluate_shape(
             if cases >= cfg.cases_per_class {
                 break;
             }
-            let mut session = RtrSession::start(
-                topo,
-                crosslinks,
-                &sc.scenario,
-                initiator,
-                group[0].failed_link,
-            )
-            .expect("recoverable case: live initiator with a failed incident link");
+            let mut session = pool
+                .start_session(
+                    topo,
+                    crosslinks,
+                    &sc.scenario,
+                    initiator,
+                    group[0].failed_link,
+                )
+                .expect("recoverable case: live initiator with a failed incident link");
             walk_hops.push(session.phase1().trace.hops() as f64);
             for case in group {
                 if cases >= cfg.cases_per_class {

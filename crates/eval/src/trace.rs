@@ -18,7 +18,8 @@ use crate::testcase::{generate_workload_shared, ScenarioCases, Workload};
 use crate::writer;
 use rtr_core::{RecoveryScratch, RtrSession};
 use rtr_obs::{CollectingSink, Event, Histogram, MetricsRegistry, Phase, TraceSink};
-use rtr_topology::{isp, NodeId};
+use rtr_sim::ForwardingTrace;
+use rtr_topology::{isp, FullView, NodeId};
 use std::time::Instant;
 
 /// Replays every recovery session of one scenario (both case classes,
@@ -32,16 +33,18 @@ fn replay_scenario_into<S: TraceSink>(
     mut per_session: impl FnMut(&mut S, SessionStats),
 ) {
     let mut scratch = RecoveryScratch::default();
+    let mut walk = ForwardingTrace::default();
     for class in [&sc.recoverable, &sc.irrecoverable] {
         for (initiator, cases) in by_initiator(class) {
             let phase1_start = Instant::now();
             // The driver's layout: one session per initiator, started from
             // the group's first failed link; infeasible starts are skipped
             // (they cannot occur for harvested cases).
-            let Ok(mut session) = RtrSession::start_traced_in(
+            let Ok(mut session) = RtrSession::start(
                 w.topo(),
                 w.crosslinks(),
                 &sc.scenario,
+                &FullView,
                 initiator,
                 cases[0].failed_link,
                 &mut scratch,
@@ -52,7 +55,7 @@ fn replay_scenario_into<S: TraceSink>(
             let phase1_micros = phase1_start.elapsed().as_micros() as u64;
             let phase2_start = Instant::now();
             for case in &cases {
-                let _ = session.recover_traced(case.dest, sink);
+                let _ = session.recover_reusing(case.dest, &mut walk, sink);
             }
             let phase2_micros = phase2_start.elapsed().as_micros() as u64;
             let stats = SessionStats {

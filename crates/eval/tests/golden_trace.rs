@@ -76,7 +76,7 @@ fn assert_session_matches(
             Event::SweepHop { header_bytes, .. } => Some(*header_bytes),
             _ => None,
         })
-        .last();
+        .next_back();
     assert_eq!(last_hop_bytes, Some(replay.stats.header_bytes));
 
     // Per-case stretch: every `recover` call emits exactly one of a

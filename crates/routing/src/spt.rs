@@ -13,7 +13,6 @@
 
 use crate::dial::DialQueue;
 use crate::path::Path;
-use rtr_obs::{Event, TraceSink};
 use rtr_topology::{GraphView, LinkId, NodeId, Topology};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -389,24 +388,6 @@ impl<'a> IncrementalSpt<'a> {
         self.heap = heap;
     }
 
-    /// Like [`remove_links`](Self::remove_links), additionally emitting
-    /// one [`Event::SptRecompute`](rtr_obs::Event::SptRecompute) into
-    /// `sink` once the repair completes (one emission per shortest-path
-    /// calculation — the Table IV `#SP` unit). With
-    /// [`NoopSink`](rtr_obs::NoopSink) this monomorphizes to exactly
-    /// `remove_links`.
-    pub fn remove_links_traced<S: TraceSink>(
-        &mut self,
-        links: impl IntoIterator<Item = LinkId>,
-        sink: &mut S,
-    ) {
-        self.remove_links(links);
-        sink.emit(Event::SptRecompute {
-            source: self.source,
-            nodes_touched: self.nodes_touched,
-        });
-    }
-
     /// Restores a batch of previously removed links and repairs the tree
     /// incrementally — the `LinkUp` counterpart of
     /// [`remove_links`](Self::remove_links).
@@ -468,22 +449,6 @@ impl<'a> IncrementalSpt<'a> {
             }
         }
         self.heap = heap;
-    }
-
-    /// Like [`restore_links`](Self::restore_links), additionally emitting
-    /// one [`Event::SptRecompute`](rtr_obs::Event::SptRecompute) with the
-    /// repair's touched-node count. With [`NoopSink`](rtr_obs::NoopSink)
-    /// this monomorphizes to exactly `restore_links`.
-    pub fn restore_links_traced<S: TraceSink>(
-        &mut self,
-        links: impl IntoIterator<Item = LinkId>,
-        sink: &mut S,
-    ) {
-        self.restore_links(links);
-        sink.emit(Event::SptRecompute {
-            source: self.source,
-            nodes_touched: self.nodes_touched,
-        });
     }
 
     fn improves(&self, v: NodeId, nd: u64, from: NodeId, l: LinkId) -> bool {
@@ -549,23 +514,6 @@ mod tests {
         assert_matches_oracle(&topo, &spt, &[tree_link]);
         assert!(spt.nodes_touched() > 0);
         assert!(spt.is_removed(tree_link));
-    }
-
-    #[test]
-    fn traced_removal_emits_one_spt_recompute_event() {
-        let topo = generate::grid(5, 5, 10.0);
-        let mut spt = IncrementalSpt::new(&topo, NodeId(0));
-        let (_, tree_link) = spt.parent(NodeId(24)).unwrap();
-        let mut sink = rtr_obs::CollectingSink::new();
-        spt.remove_links_traced([tree_link], &mut sink);
-        assert_eq!(
-            sink.events(),
-            &[Event::SptRecompute {
-                source: NodeId(0),
-                nodes_touched: spt.nodes_touched(),
-            }]
-        );
-        assert_matches_oracle(&topo, &spt, &[tree_link]);
     }
 
     #[test]
@@ -755,24 +703,6 @@ mod tests {
             spt.restore_links([l]);
             assert_canonical(&topo, &spt, &down);
         }
-    }
-
-    #[test]
-    fn traced_restore_emits_one_spt_recompute_event() {
-        let topo = generate::grid(5, 5, 10.0);
-        let mut spt = IncrementalSpt::new(&topo, NodeId(0));
-        let (_, tree_link) = spt.parent(NodeId(24)).unwrap();
-        spt.remove_links([tree_link]);
-        let mut sink = rtr_obs::CollectingSink::new();
-        spt.restore_links_traced([tree_link], &mut sink);
-        assert_eq!(
-            sink.events(),
-            &[Event::SptRecompute {
-                source: NodeId(0),
-                nodes_touched: spt.nodes_touched(),
-            }]
-        );
-        assert_canonical(&topo, &spt, &[]);
     }
 
     #[test]

@@ -11,7 +11,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtr_routing::dijkstra::dijkstra;
 use rtr_routing::{DijkstraScratch, IncrementalSpt};
-use rtr_topology::{generate, FullView, GraphView, LinkId, LinkMask, NodeId, Point, Topology};
+use rtr_topology::{
+    generate, FullView, GraphView, LinkId, LinkMask, NodeId, Point, Topology, TopologyError,
+};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -78,7 +80,12 @@ fn heap_dijkstra(topo: &Topology, view: &impl GraphView, src: NodeId) -> Referen
 /// A connected random graph with small random per-direction integer costs
 /// in `1..=max_cost` — the cost regime Dial's bucket queue is built for
 /// (and, at `max_cost == 1`, the maximal-tie regime of hop-count routing).
-fn small_cost_graph(n: usize, extra: usize, max_cost: u32, rng: &mut StdRng) -> Topology {
+fn small_cost_graph(
+    n: usize,
+    extra: usize,
+    max_cost: u32,
+    rng: &mut StdRng,
+) -> Result<Topology, TopologyError> {
     let mut b = Topology::builder();
     for i in 0..n {
         b.add_node(Point::new(i as f64, (i * 37 % 101) as f64));
@@ -88,8 +95,7 @@ fn small_cost_graph(n: usize, extra: usize, max_cost: u32, rng: &mut StdRng) -> 
     for i in 1..n {
         let prev = rng.gen_range(0..i) as u32;
         let (ca, cb) = (cost(rng), cost(rng));
-        b.add_link_asymmetric(NodeId(i as u32), NodeId(prev), ca, cb)
-            .expect("chain link is fresh");
+        b.add_link_asymmetric(NodeId(i as u32), NodeId(prev), ca, cb)?;
     }
     for _ in 0..extra {
         let a = rng.gen_range(0..n as u32);
@@ -98,10 +104,9 @@ fn small_cost_graph(n: usize, extra: usize, max_cost: u32, rng: &mut StdRng) -> 
             continue;
         }
         let (ca, cb) = (cost(rng), cost(rng));
-        b.add_link_asymmetric(NodeId(a), NodeId(c), ca, cb)
-            .expect("checked fresh");
+        b.add_link_asymmetric(NodeId(a), NodeId(c), ca, cb)?;
     }
-    b.build().expect("finite coordinates, small graph")
+    b.build()
 }
 
 proptest! {
@@ -233,7 +238,7 @@ proptest! {
         kill in 0.0..0.6f64,
     ) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xb0c4);
-        let topo = small_cost_graph(n, extra, max_cost, &mut rng);
+        let topo = small_cost_graph(n, extra, max_cost, &mut rng).unwrap();
         let removed: Vec<LinkId> = topo
             .link_ids()
             .filter(|_| rng.gen_range(0.0..1.0) < kill)

@@ -1,7 +1,7 @@
 //! The set of topologies a service instance answers queries for.
 //!
 //! Each [`FleetEntry`] pairs a name with its
-//! [`Baseline`](rtr_eval::baseline::Baseline) — built once at startup,
+//! [`Baseline`] — built once at startup,
 //! with the parallel per-source build when threads are available — plus
 //! a per-region scenario cache so repeated observations of the same
 //! failure circle share one [`FailureScenario`]. The cache is keyed on

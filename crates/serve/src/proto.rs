@@ -557,7 +557,11 @@ mod tests {
     use super::*;
 
     fn sample_request() -> Request {
-        Request::Recover(RecoverRequest {
+        Request::Recover(sample_recover())
+    }
+
+    fn sample_recover() -> RecoverRequest {
+        RecoverRequest {
             id: 42,
             topo: 3,
             region: RegionSpec {
@@ -569,7 +573,7 @@ mod tests {
             failed_link: 19,
             scheme: 0,
             dests: vec![1, 2, 30],
-        })
+        }
     }
 
     fn sample_response() -> Response {
@@ -608,9 +612,7 @@ mod tests {
 
     #[test]
     fn scheme_selectors_round_trip_via_v2() {
-        let Request::Recover(base) = sample_request() else {
-            unreachable!()
-        };
+        let base = sample_recover();
         for scheme in [1u8, 2, 3, 4, 250] {
             let req = Request::Recover(RecoverRequest {
                 scheme,
@@ -628,9 +630,7 @@ mod tests {
         // pre-scheme servers keep answering and pre-scheme captures keep
         // decoding. The v1 body is reconstructed field-by-field here: if
         // the v1 layout ever drifts, this fails.
-        let Request::Recover(r) = sample_request() else {
-            unreachable!()
-        };
+        let r = sample_recover();
         let body = encode_request(&Request::Recover(r.clone()));
         let mut v1 = vec![TAG_RECOVER_REQ];
         v1.extend_from_slice(&r.id.to_le_bytes());

@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 /// The steady-state functions held to zero lexical allocations, as
 /// `(workspace-relative file, fn name)`. Every same-named non-test `fn`
 /// in the file is checked.
-pub const STEADY_STATE_FNS: [(&str, &str); 14] = [
+pub const STEADY_STATE_FNS: [(&str, &str); 13] = [
     // Phase-1 sweep: next-hop selection and crossing-mask exclusion.
     ("crates/core/src/sweep.rs", "select_next_hop"),
     ("crates/core/src/sweep.rs", "is_excluded"),
@@ -25,13 +25,12 @@ pub const STEADY_STATE_FNS: [(&str, &str); 14] = [
     // grid-index candidate query behind region harvests.
     ("crates/topology/src/crosslinks.rs", "crosses_any"),
     ("crates/topology/src/grid.rs", "for_candidates"),
-    ("crates/core/src/phase1.rs", "collect_failure_info_traced"),
+    ("crates/core/src/phase1.rs", "collect_failure_info"),
     ("crates/core/src/phase1.rs", "record_selection_crossing"),
-    // Phase-2 walk: cached path lookup and the reusing source-route walk.
-    ("crates/core/src/phase2.rs", "recovery_path_ref"),
-    ("crates/core/src/phase2.rs", "source_route_walk_reusing"),
-    // Session entry points.
-    ("crates/core/src/recovery.rs", "recover_traced"),
+    // Phase-2 walk: cached path lookup and the source-route walk.
+    ("crates/core/src/phase2.rs", "recovery_path"),
+    ("crates/core/src/phase2.rs", "source_route_walk"),
+    // Session entry point.
     ("crates/core/src/recovery.rs", "recover_reusing"),
     // Dijkstra queue inner ops (Dial's bucket queue).
     ("crates/routing/src/dial.rs", "push"),

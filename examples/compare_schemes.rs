@@ -9,7 +9,7 @@
 //! ```
 
 use rtr::baselines::{Emrc, Fcp, Fep, Mrc, RecoveryScheme, SchemeCtx};
-use rtr::core::{RtrSession, SchemeScratch};
+use rtr::core::{PooledSession, SchemeScratch, SessionPool};
 use rtr::routing::{shortest_path, RoutingTable};
 use rtr::sim::{CaseKind, Network};
 use rtr::topology::{isp, CrossLinkTable, FailureScenario, FullView, Region};
@@ -28,6 +28,7 @@ fn main() {
     let topo = profile.synthesize();
     let table = RoutingTable::compute(&topo, &FullView);
     let crosslinks = CrossLinkTable::new(&topo);
+    let pool = SessionPool::new();
     let ctx = SchemeCtx {
         topo: &topo,
         crosslinks: &crosslinks,
@@ -49,7 +50,7 @@ fn main() {
     );
 
     let net = Network::new(&topo, &scenario, &table);
-    let mut sessions: std::collections::BTreeMap<_, RtrSession<'_, _>> = Default::default();
+    let mut sessions: std::collections::BTreeMap<_, PooledSession<'_, '_, _>> = Default::default();
     let mut scratch = SchemeScratch::new();
     let mut rtr_stats = Stats::default();
     let mut stats = vec![Stats::default(); comparators.len()];
@@ -75,7 +76,7 @@ fn main() {
             // RTR keeps its session so one phase 1 serves every
             // destination of an initiator — the paper's deployment model.
             let session = sessions.entry(initiator).or_insert_with(|| {
-                RtrSession::start(&topo, &crosslinks, &scenario, initiator, failed_link)
+                pool.start_session(&topo, &crosslinks, &scenario, initiator, failed_link)
                     .expect("recoverable case: live initiator with a failed incident link")
             });
             let rtr = session.recover(t);

@@ -11,7 +11,7 @@
 //! cargo run --release --example convergence
 //! ```
 
-use rtr::core::RtrSession;
+use rtr::core::{PooledSession, SessionPool};
 use rtr::routing::RoutingTable;
 use rtr::sim::{packets_per_second, unprotected_loss, CaseKind, ConvergenceModel, Network};
 use rtr::topology::{isp, CrossLinkTable, FailureScenario, FullView, Region};
@@ -22,6 +22,7 @@ fn main() {
         .synthesize();
     let table = RoutingTable::compute(&topo, &FullView);
     let crosslinks = CrossLinkTable::new(&topo);
+    let pool = SessionPool::new();
     let scenario = FailureScenario::from_region(&topo, &Region::circle((1000.0, 900.0), 280.0));
     println!(
         "failure: {} routers dead, {} links cut",
@@ -47,7 +48,8 @@ fn main() {
         let mut unprotected = 0.0f64;
         let mut with_rtr = 0.0f64;
         let mut recoverable_paths = 0usize;
-        let mut sessions: std::collections::BTreeMap<_, RtrSession<'_, _>> = Default::default();
+        let mut sessions: std::collections::BTreeMap<_, PooledSession<'_, '_, _>> =
+            Default::default();
         for s in topo.node_ids() {
             for t in topo.node_ids() {
                 if s == t {
@@ -66,7 +68,7 @@ fn main() {
                 // With RTR, the flow survives if recovery delivers; packets
                 // are only delayed by the first phase, not dropped (§III-A).
                 let session = sessions.entry(initiator).or_insert_with(|| {
-                    RtrSession::start(&topo, &crosslinks, &scenario, initiator, failed_link)
+                    pool.start_session(&topo, &crosslinks, &scenario, initiator, failed_link)
                         .expect("recoverable case: live initiator with a failed incident link")
                 });
                 if !session.recover(t).is_delivered() {

@@ -12,7 +12,7 @@
 //! ```
 
 use rtr::baselines::{Fcp, RecoveryScheme, SchemeCtx};
-use rtr::core::{Phase1Error, RtrSession, SchemeScratch};
+use rtr::core::{Phase1Error, PooledSession, SchemeScratch, SessionPool};
 use rtr::routing::RoutingTable;
 use rtr::sim::{CaseKind, DelayModel, Network, PAYLOAD_BYTES};
 use rtr::topology::{isp, CrossLinkTable, FailureScenario, FullView, NodeId, Region};
@@ -26,6 +26,7 @@ fn main() {
         .synthesize();
     let table = RoutingTable::compute(&topo, &FullView);
     let crosslinks = CrossLinkTable::new(&topo);
+    let pool = SessionPool::new();
 
     // The earthquake: a 420-radius hole off-centre (about 14% of the area).
     let epicentre = (700.0, 900.0);
@@ -74,14 +75,14 @@ fn main() {
     // Each distinct initiator runs phase 1 once; its session then serves
     // every destination. Count aggregate effort.
     let delay = DelayModel::PAPER;
-    let mut sessions: std::collections::BTreeMap<(NodeId, u32), RtrSession<'_, _>> =
+    let mut sessions: std::collections::BTreeMap<(NodeId, u32), PooledSession<'_, '_, _>> =
         Default::default();
     let mut delivered = 0usize;
     let mut optimal = 0usize;
     for &(initiator, failed_link, dest) in &recoverable {
         let key = (initiator, 0u32);
         let session = sessions.entry(key).or_insert_with(|| {
-            RtrSession::start(&topo, &crosslinks, &scenario, initiator, failed_link)
+            pool.start_session(&topo, &crosslinks, &scenario, initiator, failed_link)
                 .expect("recoverable case: live initiator with a failed incident link")
         });
         let attempt = session.recover(dest);
@@ -134,7 +135,7 @@ fn main() {
         let session = match sessions.entry(key) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(slot) => {
-                match RtrSession::start(&topo, &crosslinks, &scenario, initiator, failed_link) {
+                match pool.start_session(&topo, &crosslinks, &scenario, initiator, failed_link) {
                     Ok(session) => slot.insert(session),
                     // A fully isolated initiator cannot even emit a
                     // collection packet, so RTR wastes neither computation

@@ -8,7 +8,7 @@
 //! cargo run --release --example multi_area
 //! ```
 
-use rtr::core::{recover_multi_area, Phase1Termination, RtrSession};
+use rtr::core::{recover_multi_area, Phase1Termination, PooledSession, SessionPool};
 use rtr::routing::{shortest_path, RoutingTable};
 use rtr::sim::{CaseKind, Network};
 use rtr::topology::{isp, CrossLinkTable, FailureScenario, FullView, Region};
@@ -20,6 +20,7 @@ fn main() {
         .synthesize();
     let table = RoutingTable::compute(&topo, &FullView);
     let crosslinks = CrossLinkTable::new(&topo);
+    let pool = SessionPool::new();
 
     // Two simultaneous failure areas in opposite corners.
     let region = Region::Union(vec![
@@ -37,7 +38,7 @@ fn main() {
 
     let net = Network::new(&topo, &scenario, &table);
     let mut stats = MultiAreaStats::default();
-    let mut sessions: std::collections::BTreeMap<_, RtrSession<'_, _>> = Default::default();
+    let mut sessions: std::collections::BTreeMap<_, PooledSession<'_, '_, _>> = Default::default();
 
     for s in topo.node_ids() {
         for t in topo.node_ids() {
@@ -52,7 +53,7 @@ fn main() {
                 continue;
             };
             let session = sessions.entry(initiator).or_insert_with(|| {
-                RtrSession::start(&topo, &crosslinks, &scenario, initiator, failed_link)
+                pool.start_session(&topo, &crosslinks, &scenario, initiator, failed_link)
                     .expect("recoverable case: live initiator with a failed incident link")
             });
             assert_ne!(

@@ -7,7 +7,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use rtr::core::RtrSession;
+use rtr::core::SessionPool;
 use rtr::routing::{shortest_path, RoutingTable};
 use rtr::sim::{CaseKind, DelayModel, Network};
 use rtr::topology::{isp, CrossLinkTable, FailureScenario, FullView, Region};
@@ -29,6 +29,7 @@ fn main() {
     //    plus the cross-link table RTR's first phase needs.
     let table = RoutingTable::compute(&topo, &FullView);
     let crosslinks = CrossLinkTable::new(&topo);
+    let pool = SessionPool::new();
 
     // 3. Disaster: a circular failure area of radius 250 in the middle of
     //    the plane. Routers inside die; links crossing the circle die.
@@ -57,7 +58,8 @@ fn main() {
 
     // 5. RTR phase 1: forward a packet around the failure area, collecting
     //    failed-link ids in its header.
-    let mut session = RtrSession::start(&topo, &crosslinks, &scenario, initiator, failed_link)
+    let mut session = pool
+        .start_session(&topo, &crosslinks, &scenario, initiator, failed_link)
         .expect("recoverable case: live initiator with a failed incident link");
     let phase1 = session.phase1();
     let delay = DelayModel::PAPER;

@@ -7,7 +7,7 @@
 //! cargo run --release --example visualize -- AS1239
 //! ```
 
-use rtr::core::RtrSession;
+use rtr::core::SessionPool;
 use rtr::eval::viz::SvgScene;
 use rtr::routing::RoutingTable;
 use rtr::sim::{CaseKind, Network};
@@ -23,6 +23,7 @@ fn main() {
         .synthesize();
     let table = RoutingTable::compute(&topo, &FullView);
     let crosslinks = CrossLinkTable::new(&topo);
+    let pool = SessionPool::new();
     let region = Region::circle((1000.0, 1000.0), 260.0);
     let scenario = FailureScenario::from_region(&topo, &region);
 
@@ -42,7 +43,8 @@ fn main() {
         eprintln!("this failure broke nothing recoverable; try another topology");
         std::process::exit(1);
     };
-    let mut session = RtrSession::start(&topo, &crosslinks, &scenario, initiator, failed_link)
+    let mut session = pool
+        .start_session(&topo, &crosslinks, &scenario, initiator, failed_link)
         .expect("recoverable case: live initiator with a failed incident link");
     let attempt = session.recover(dest);
 

@@ -2,7 +2,7 @@
 //! routing → failure injection → five-scheme recovery → metrics.
 
 use rtr::baselines::{Emrc, Fcp, Mrc, RecoveryScheme, SchemeCtx};
-use rtr::core::{DeliveryOutcome, Phase1Termination, RtrSession, SchemeScratch};
+use rtr::core::{DeliveryOutcome, Phase1Termination, SchemeScratch, SessionPool};
 use rtr::routing::{shortest_path, RoutingTable};
 use rtr::sim::{CaseKind, DelayModel, Network};
 use rtr::topology::{isp, CrossLinkTable, FailureScenario, FullView, Region};
@@ -14,6 +14,7 @@ fn paper_walkthrough_on_a_twin() {
     let topo = isp::profile("AS209").unwrap().synthesize();
     let table = RoutingTable::compute(&topo, &FullView);
     let crosslinks = CrossLinkTable::new(&topo);
+    let pool = SessionPool::new();
     // Centre the failure on the densest node so the region reliably swallows
     // part of the core (magic coordinates would silently depend on the RNG
     // stream behind the synthesized embedding).
@@ -36,9 +37,9 @@ fn paper_walkthrough_on_a_twin() {
             } = net.classify(s, t)
             {
                 cases += 1;
-                let mut session =
-                    RtrSession::start(&topo, &crosslinks, &scenario, initiator, failed_link)
-                        .expect("recoverable case: live initiator with a failed incident link");
+                let mut session = pool
+                    .start_session(&topo, &crosslinks, &scenario, initiator, failed_link)
+                    .expect("recoverable case: live initiator with a failed incident link");
                 let attempt = session.recover(t);
                 if attempt.is_delivered() {
                     recovered += 1;
@@ -143,6 +144,7 @@ fn schemes_disagree_as_published() {
 fn phase1_durations_follow_delay_model() {
     let topo = isp::profile("AS701").unwrap().synthesize();
     let crosslinks = CrossLinkTable::new(&topo);
+    let pool = SessionPool::new();
     let scenario = FailureScenario::from_region(&topo, &Region::circle((500.0, 500.0), 150.0));
     let delay = DelayModel::PAPER;
 
@@ -164,7 +166,8 @@ fn phase1_durations_follow_delay_model() {
         if !has_live {
             continue;
         }
-        let session = RtrSession::start(&topo, &crosslinks, &scenario, n, dead)
+        let session = pool
+            .start_session(&topo, &crosslinks, &scenario, n, dead)
             .expect("recoverable case: live initiator with a failed incident link");
         let p1 = session.phase1();
         assert_eq!(p1.termination, Phase1Termination::Completed);
@@ -180,6 +183,7 @@ fn irrecoverable_traffic_is_cut_off_quickly() {
     let topo = isp::profile("AS1239").unwrap().synthesize();
     let table = RoutingTable::compute(&topo, &FullView);
     let crosslinks = CrossLinkTable::new(&topo);
+    let pool = SessionPool::new();
     // A big hole that partitions the sparse twin.
     let region = Region::circle((1000.0, 1000.0), 420.0);
     let scenario = FailureScenario::from_region(&topo, &region);
@@ -197,9 +201,9 @@ fn irrecoverable_traffic_is_cut_off_quickly() {
             } = net.classify(s, t)
             {
                 found += 1;
-                let mut session =
-                    RtrSession::start(&topo, &crosslinks, &scenario, initiator, failed_link)
-                        .expect("recoverable case: live initiator with a failed incident link");
+                let mut session = pool
+                    .start_session(&topo, &crosslinks, &scenario, initiator, failed_link)
+                    .expect("recoverable case: live initiator with a failed incident link");
                 let attempt = session.recover(t);
                 assert!(!attempt.is_delivered());
                 // RTR spends exactly one calculation, and the discard walk
@@ -244,6 +248,7 @@ fn recovery_on_parsed_topology() {
     let text = isp::to_text(&topo);
     let parsed = isp::parse_topology(&text).unwrap();
     let crosslinks = CrossLinkTable::new(&parsed);
+    let pool = SessionPool::new();
     let scenario = FailureScenario::from_region(&parsed, &Region::circle((1000.0, 1000.0), 250.0));
     let entry = parsed.node_ids().find_map(|n| {
         if scenario.is_node_failed(n) {
@@ -262,7 +267,8 @@ fn recovery_on_parsed_topology() {
     let Some((initiator, failed)) = entry else {
         panic!("fixture should produce an entry point");
     };
-    let session = RtrSession::start(&parsed, &crosslinks, &scenario, initiator, failed)
+    let session = pool
+        .start_session(&parsed, &crosslinks, &scenario, initiator, failed)
         .expect("recoverable case: live initiator with a failed incident link");
     assert!(session.phase1().is_complete());
 }
