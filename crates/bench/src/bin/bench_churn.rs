@@ -15,10 +15,10 @@
 //! the repository root; `--smoke` runs one small-grid workload (the CI
 //! churn-smoke job).
 
+use rtr_bench::{median, Recorder};
 use rtr_eval::baseline::Baseline;
 use rtr_eval::churn::DynamicBaseline;
 use rtr_eval::json::Json;
-use rtr_eval::par;
 use rtr_topology::{generate, isp, Point, Timeline, Topology};
 use std::sync::Arc;
 use std::time::Instant;
@@ -57,22 +57,8 @@ fn workloads(smoke: bool) -> Vec<(String, Topology, Timeline)> {
     out
 }
 
-/// Median of an unsorted sample (0.0 when empty).
-fn median(mut xs: Vec<f64>) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.sort_by(f64::total_cmp);
-    let mid = xs.len() / 2;
-    if xs.len() % 2 == 1 {
-        xs[mid]
-    } else {
-        (xs[mid - 1] + xs[mid]) / 2.0
-    }
-}
-
 /// Replays one workload and returns its JSON point.
-fn run_point(name: &str, topo: Topology, timeline: &Timeline) -> Json {
+fn run_point(rec: &Recorder, name: &str, topo: Topology, timeline: &Timeline) -> Json {
     let nodes = topo.node_count();
     let links = topo.link_count();
     let base = Arc::new(Baseline::new(topo));
@@ -110,8 +96,8 @@ fn run_point(name: &str, topo: Topology, timeline: &Timeline) -> Json {
     }
     let inc_median = median(inc_samples);
     let reb_median = median(reb_samples);
-    eprintln!(
-        "[bench_churn] {name:>14} n={nodes:>4} m={links:>5}: {} events, incremental median \
+    rec.note(format_args!(
+        "{name:>14} n={nodes:>4} m={links:>5}: {} events, incremental median \
          {:.2} ms vs rebuild median {:.2} ms ({:.1}x), {labels_total} labels touched, oracle ok",
         timeline.len(),
         inc_median * 1e3,
@@ -121,7 +107,7 @@ fn run_point(name: &str, topo: Topology, timeline: &Timeline) -> Json {
         } else {
             f64::INFINITY
         },
-    );
+    ));
     Json::Obj(vec![
         ("name", Json::Str(name.to_string())),
         ("nodes", Json::Num(nodes as f64)),
@@ -136,32 +122,10 @@ fn run_point(name: &str, topo: Topology, timeline: &Timeline) -> Json {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut path = "BENCH_churn.json".to_string();
-    for arg in std::env::args().skip(1) {
-        if arg == "--smoke" {
-            smoke = true;
-        } else {
-            path = arg;
-        }
-    }
-
-    let host = par::resolve_threads(0);
-    eprintln!(
-        "[bench_churn] host parallelism {host}{}",
-        if smoke { " (smoke)" } else { "" }
-    );
-    let points: Vec<Json> = workloads(smoke)
+    let rec = Recorder::from_args("churn");
+    let points: Vec<Json> = workloads(rec.smoke)
         .into_iter()
-        .map(|(name, topo, tl)| run_point(&name, topo, &tl))
+        .map(|(name, topo, tl)| run_point(&rec, &name, topo, &tl))
         .collect();
-
-    let report = Json::Obj(vec![
-        ("schema", Json::Str("bench-churn-v1".to_string())),
-        ("host_parallelism", Json::Num(host as f64)),
-        ("smoke", Json::Num(f64::from(u8::from(smoke)))),
-        ("points", Json::Arr(points)),
-    ]);
-    std::fs::write(&path, report.pretty()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprintln!("[bench_churn] wrote {path}");
+    rec.write(Vec::new(), points);
 }

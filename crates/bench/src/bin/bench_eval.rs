@@ -8,17 +8,17 @@
 //! `serial_secs` spent in the crossing-exclusion probes and the walk.
 //!
 //! Run through `cargo xtask bench-record`, which places the artifact at
-//! the repository root. Timings are medians of [`RUNS`] runs; the file
-//! also records the host's available parallelism so speedups on small
-//! machines read honestly.
+//! the repository root (there is no `--smoke` tier). Timings are medians
+//! of [`RUNS`] runs; the envelope also records the host's available
+//! parallelism so speedups on small machines read honestly.
 
+use rtr_bench::{median, Recorder};
 use rtr_core::{RtrSession, SessionPool};
 use rtr_eval::baseline::Baseline;
 use rtr_eval::json::Json;
-use rtr_eval::testcase::{generate_workload_shared, Workload};
-use rtr_eval::{config::ExperimentConfig, driver, par};
-use rtr_topology::{isp, NodeId};
-use std::collections::BTreeSet;
+use rtr_eval::testcase::{by_initiator, generate_workload_shared, Workload};
+use rtr_eval::{config::ExperimentConfig, driver};
+use rtr_topology::isp;
 use std::time::Instant;
 
 /// Cases per class per topology (bench scale; the paper uses 10 000).
@@ -32,15 +32,16 @@ const PAR_THREADS: usize = 8;
 const RUNS: usize = 3;
 
 fn median_secs(w: &Workload, cfg: &ExperimentConfig) -> f64 {
-    let mut secs: Vec<f64> = (0..RUNS)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(driver::run_workload(w, cfg)).expect("Table II twins build MRC");
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    secs.sort_by(f64::total_cmp);
-    secs[RUNS / 2]
+    median(
+        (0..RUNS)
+            .map(|_| {
+                let t = Instant::now();
+                std::hint::black_box(driver::run_workload(w, cfg))
+                    .expect("Table II twins build MRC");
+                t.elapsed().as_secs_f64()
+            })
+            .collect(),
+    )
 }
 
 /// Median wall time of re-running every phase-1 boundary sweep of the
@@ -48,32 +49,32 @@ fn median_secs(w: &Workload, cfg: &ExperimentConfig) -> f64 {
 /// the driver) — the `SweepContext::is_excluded` hot path in isolation.
 fn median_sweep_secs(w: &Workload) -> f64 {
     let pool = SessionPool::new();
-    let mut secs: Vec<f64> = (0..RUNS)
-        .map(|_| {
-            let t = Instant::now();
-            for sc in &w.scenarios {
-                let mut seen: BTreeSet<NodeId> = BTreeSet::new();
-                for case in sc.recoverable.iter().chain(&sc.irrecoverable) {
-                    if !seen.insert(case.initiator) {
-                        continue;
+    median(
+        (0..RUNS)
+            .map(|_| {
+                let t = Instant::now();
+                for sc in &w.scenarios {
+                    for (initiator, cases) in
+                        by_initiator(sc.recoverable.iter().chain(&sc.irrecoverable))
+                    {
+                        let session = pool
+                            .start_session(
+                                w.topo(),
+                                w.crosslinks(),
+                                &sc.scenario,
+                                initiator,
+                                cases[0].failed_link,
+                            )
+                            .expect(
+                                "cases always have a live initiator with a failed incident link",
+                            );
+                        std::hint::black_box(session.phase1().trace.hops());
                     }
-                    let session = pool
-                        .start_session(
-                            w.topo(),
-                            w.crosslinks(),
-                            &sc.scenario,
-                            case.initiator,
-                            case.failed_link,
-                        )
-                        .expect("cases always have a live initiator with a failed incident link");
-                    std::hint::black_box(session.phase1().trace.hops());
                 }
-            }
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    secs.sort_by(f64::total_cmp);
-    secs[RUNS / 2]
+                t.elapsed().as_secs_f64()
+            })
+            .collect(),
+    )
 }
 
 /// Mean incremental-SPT nodes re-examined per recovery session, mirroring
@@ -83,18 +84,14 @@ fn mean_nodes_touched(w: &Workload) -> f64 {
     let mut total = 0usize;
     let mut sessions = 0usize;
     for sc in &w.scenarios {
-        let mut seen: BTreeSet<NodeId> = BTreeSet::new();
-        for case in &sc.recoverable {
-            if !seen.insert(case.initiator) {
-                continue;
-            }
+        for (initiator, cases) in by_initiator(&sc.recoverable) {
             let session: &RtrSession<'_, _> = &pool
                 .start_session(
                     w.topo(),
                     w.crosslinks(),
                     &sc.scenario,
-                    case.initiator,
-                    case.failed_link,
+                    initiator,
+                    cases[0].failed_link,
                 )
                 .expect("recoverable case: live initiator with a failed incident link");
             total += session.computer().nodes_touched();
@@ -109,21 +106,25 @@ fn mean_nodes_touched(w: &Workload) -> f64 {
 }
 
 fn main() {
-    let host = par::resolve_threads(0);
+    let rec = Recorder::from_args("eval");
+    if rec.smoke {
+        rec.note("has no smoke tier; record the full file");
+        std::process::exit(2);
+    }
+    let host = rec.host;
     // Oversubscribing a small host with PAR_THREADS workers measures
     // scheduler churn, not speedup; clamp to what the machine has and
     // record the clamped count so `bench-check` reads the file honestly.
     let par_threads = PAR_THREADS.min(host.max(1));
     if par_threads < PAR_THREADS {
-        eprintln!(
-            "[bench_eval] host parallelism {host} < {PAR_THREADS}; \
+        rec.note(format_args!(
+            "host parallelism {host} < {PAR_THREADS}; \
              clamping parallel measurement to {par_threads} threads"
-        );
+        ));
     }
-    eprintln!(
-        "[bench_eval] host parallelism {host}, {CASES} cases/class, \
-         serial vs {par_threads} threads, median of {RUNS} runs"
-    );
+    rec.note(format_args!(
+        "{CASES} cases/class, serial vs {par_threads} threads, median of {RUNS} runs"
+    ));
 
     let mut rows = Vec::new();
     for p in isp::TABLE2 {
@@ -139,13 +140,13 @@ fn main() {
         let parallel = median_secs(&w, &serial_cfg.clone().with_threads(par_threads));
         let sweep = median_sweep_secs(&w);
         let touched = mean_nodes_touched(&w);
-        eprintln!(
-            "[bench_eval] {:>8}: serial {serial:.4}s, {par_threads} threads {parallel:.4}s \
+        rec.note(format_args!(
+            "{:>8}: serial {serial:.4}s, {par_threads} threads {parallel:.4}s \
              (x{:.2}), sweep {sweep:.4}s, mean nodes touched {touched:.1}/{}",
             p.name,
             serial / parallel,
             p.nodes
-        );
+        ));
         rows.push(Json::Obj(vec![
             ("name", Json::Str(p.name.to_string())),
             ("nodes", Json::Num(p.nodes as f64)),
@@ -158,16 +159,12 @@ fn main() {
         ]));
     }
 
-    let report = Json::Obj(vec![
-        ("host_parallelism", Json::Num(host as f64)),
-        ("cases_per_class", Json::Num(CASES as f64)),
-        ("parallel_threads", Json::Num(par_threads as f64)),
-        ("runs_per_median", Json::Num(RUNS as f64)),
-        ("topologies", Json::Arr(rows)),
-    ]);
-    let path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_eval.json".to_string());
-    std::fs::write(&path, report.pretty()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprintln!("[bench_eval] wrote {path}");
+    rec.write(
+        vec![
+            ("cases_per_class", Json::Num(CASES as f64)),
+            ("parallel_threads", Json::Num(par_threads as f64)),
+            ("runs_per_median", Json::Num(RUNS as f64)),
+        ],
+        rows,
+    );
 }

@@ -17,10 +17,10 @@
 //! the repository root; `--smoke` sweeps only the 1k point per generator
 //! (the CI scale-smoke job).
 
+use rtr_bench::{peak_rss_mb, reset_peak_rss, Recorder};
 use rtr_core::SessionPool;
 use rtr_eval::baseline::Baseline;
 use rtr_eval::json::Json;
-use rtr_eval::par;
 use rtr_topology::{
     generate, CrossLinkTable, FailureScenario, NodeId, Region, SegmentGrid, Topology,
 };
@@ -87,31 +87,8 @@ fn extent_of(n: usize) -> f64 {
     2000.0 * (n as f64 / 1000.0).sqrt()
 }
 
-/// Peak resident set of this process in MiB, from `/proc/self/status`.
-fn peak_rss_mb() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: f64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0.0);
-            return kb / 1024.0;
-        }
-    }
-    0.0
-}
-
-/// Resets the kernel's peak-RSS watermark so each point reports its own
-/// high-water mark. Best effort: ignored where `/proc` is read-only.
-fn reset_peak_rss() {
-    let _ = std::fs::write("/proc/self/clear_refs", "5");
-}
-
 /// Runs one sweep point and returns its JSON row.
-fn run_point(generator: &str, n: usize, baseline_threads: usize) -> Json {
+fn run_point(rec: &Recorder, generator: &str, n: usize) -> Json {
     reset_peak_rss();
 
     let t = Instant::now();
@@ -213,7 +190,7 @@ fn run_point(generator: &str, n: usize, baseline_threads: usize) -> Json {
     let mut baseline_note = String::new();
     if topo.node_count() <= BASELINE_MAX_NODES {
         let t = Instant::now();
-        let baseline = Baseline::with_threads(topo.clone(), baseline_threads);
+        let baseline = Baseline::with_threads(topo.clone(), rec.host);
         let baseline_secs = t.elapsed().as_secs_f64();
         std::hint::black_box(&baseline);
         row.push(("baseline_secs", Json::Num(baseline_secs)));
@@ -221,35 +198,22 @@ fn run_point(generator: &str, n: usize, baseline_threads: usize) -> Json {
     }
     row.push(("peak_rss_mb", Json::Num(peak_rss_mb())));
 
-    eprintln!(
-        "[bench_scale] {generator:>16} n={n:>6}: build {build_secs:.2}s, crosslinks \
+    rec.note(format_args!(
+        "{generator:>16} n={n:>6}: build {build_secs:.2}s, crosslinks \
          {crosslink_secs:.3}s ({} pairs{}), scenario {scenario_secs:.3}s, {session_count} \
          sessions {sweep_secs:.3}s, {recoveries} recoveries {recover_secs:.3}s{baseline_note}, \
          peak {:.0} MiB",
         crosslinks.crossing_pair_count(),
         if oracle_checked { ", oracle ok" } else { "" },
         peak_rss_mb(),
-    );
+    ));
     Json::Obj(row)
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut path = "BENCH_scale.json".to_string();
-    for arg in std::env::args().skip(1) {
-        if arg == "--smoke" {
-            smoke = true;
-        } else {
-            path = arg;
-        }
-    }
-
-    let host = par::resolve_threads(0);
-    let sizes: &[usize] = if smoke { &SIZES[..1] } else { &SIZES[..] };
-    eprintln!(
-        "[bench_scale] host parallelism {host}, sizes {sizes:?}{}",
-        if smoke { " (smoke)" } else { "" }
-    );
+    let rec = Recorder::from_args("scale");
+    let sizes: &[usize] = if rec.smoke { &SIZES[..1] } else { &SIZES[..] };
+    rec.note(format_args!("sizes {sizes:?}"));
 
     let mut points = Vec::new();
     for &n in sizes {
@@ -260,17 +224,11 @@ fn main() {
             if generator == "barabasi_albert" && n > BARABASI_ALBERT_MAX_NODES {
                 continue;
             }
-            points.push(run_point(generator, n, host));
+            points.push(run_point(&rec, generator, n));
         }
     }
-
-    let report = Json::Obj(vec![
-        ("schema", Json::Str("bench-scale-v1".to_string())),
-        ("host_parallelism", Json::Num(host as f64)),
-        ("baseline_threads", Json::Num(host as f64)),
-        ("smoke", Json::Num(f64::from(u8::from(smoke)))),
-        ("points", Json::Arr(points)),
-    ]);
-    std::fs::write(&path, report.pretty()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprintln!("[bench_scale] wrote {path}");
+    rec.write(
+        vec![("baseline_threads", Json::Num(rec.host as f64))],
+        points,
+    );
 }

@@ -11,9 +11,10 @@
 
 use crate::baseline::Baseline;
 use crate::config::ExperimentConfig;
+use crate::driver::{profiles, UnknownTopology};
 use crate::metrics::percentage;
 use crate::reports::TableReport;
-use crate::testcase::{generate_workload_shared, Workload};
+use crate::testcase::{by_initiator, generate_workload_shared, Workload};
 use rtr_core::{RtrSession, SessionPool};
 use rtr_topology::isp;
 use std::collections::BTreeSet;
@@ -44,11 +45,7 @@ pub fn collection_ablation(w: &Workload) -> (VariantStats, VariantStats) {
     for sc in &w.scenarios {
         let truth: Vec<_> = sc.scenario.unusable_links(w.topo()).collect();
         let mut seen_initiators = BTreeSet::new();
-        let mut by_initiator: std::collections::BTreeMap<_, Vec<_>> = Default::default();
-        for c in &sc.recoverable {
-            by_initiator.entry(c.initiator).or_default().push(c);
-        }
-        for (initiator, group) in by_initiator {
+        for (initiator, group) in by_initiator(&sc.recoverable) {
             let failed = group[0].failed_link;
             let mut single = pool
                 .start_session(w.topo(), w.crosslinks(), &sc.scenario, initiator, failed)
@@ -111,11 +108,7 @@ fn single_sweep_stats(w: &Workload) -> (f64, f64) {
     let pool = SessionPool::new();
     for sc in &w.scenarios {
         let truth: Vec<_> = sc.scenario.unusable_links(w.topo()).collect();
-        let mut by_initiator: std::collections::BTreeMap<_, Vec<_>> = Default::default();
-        for c in &sc.recoverable {
-            by_initiator.entry(c.initiator).or_default().push(c);
-        }
-        for (initiator, group) in by_initiator {
+        for (initiator, group) in by_initiator(&sc.recoverable) {
             let mut session = pool
                 .start_session(
                     w.topo(),
@@ -145,8 +138,15 @@ fn single_sweep_stats(w: &Workload) -> (f64, f64) {
 }
 
 /// The collection-thoroughness ablation over the given topologies.
-pub fn thoroughness_report(names: &[String], cfg: &ExperimentConfig) -> TableReport {
-    let profiles = resolve(names);
+///
+/// # Errors
+///
+/// [`UnknownTopology`] for a name outside Table II (nothing runs).
+pub fn thoroughness_report(
+    names: &[String],
+    cfg: &ExperimentConfig,
+) -> Result<TableReport, UnknownTopology> {
+    let profiles = profiles(names)?;
     let mut rows = Vec::new();
     for p in profiles {
         eprintln!("[rtr-eval] thoroughness ablation on {}...", p.name);
@@ -167,7 +167,7 @@ pub fn thoroughness_report(names: &[String], cfg: &ExperimentConfig) -> TableRep
             format!("{:.1}", thorough.mean_walk_hops),
         ]);
     }
-    TableReport {
+    Ok(TableReport {
         id: "Ablation A".into(),
         title:
             "Single-sweep vs thorough first phase (recovery %, collected failed links %, walk hops)"
@@ -182,12 +182,19 @@ pub fn thoroughness_report(names: &[String], cfg: &ExperimentConfig) -> TableRep
             "Hops thorough".into(),
         ],
         rows,
-    }
+    })
 }
 
 /// The embedding-correlation ablation over the given topologies.
-pub fn embedding_report(names: &[String], cfg: &ExperimentConfig) -> TableReport {
-    let profiles = resolve(names);
+///
+/// # Errors
+///
+/// [`UnknownTopology`] for a name outside Table II (nothing runs).
+pub fn embedding_report(
+    names: &[String],
+    cfg: &ExperimentConfig,
+) -> Result<TableReport, UnknownTopology> {
+    let profiles = profiles(names)?;
     let mut rows = Vec::new();
     for p in profiles {
         eprintln!("[rtr-eval] embedding ablation on {}...", p.name);
@@ -209,7 +216,7 @@ pub fn embedding_report(names: &[String], cfg: &ExperimentConfig) -> TableReport
             format!("{rnd_cov:.1}"),
         ]);
     }
-    TableReport {
+    Ok(TableReport {
         id: "Ablation B".into(),
         title: "Geometric vs random embedding (RTR recovery %, collected failed links %)".into(),
         headers: vec![
@@ -220,18 +227,7 @@ pub fn embedding_report(names: &[String], cfg: &ExperimentConfig) -> TableReport
             "Coll% random".into(),
         ],
         rows,
-    }
-}
-
-fn resolve(names: &[String]) -> Vec<isp::IspProfile> {
-    if names.is_empty() {
-        isp::TABLE2.to_vec()
-    } else {
-        names
-            .iter()
-            .map(|n| isp::profile(n).unwrap_or_else(|| panic!("unknown topology {n}")))
-            .collect()
-    }
+    })
 }
 
 #[cfg(test)]
@@ -254,9 +250,9 @@ mod tests {
     fn reports_render() {
         let cfg = ExperimentConfig::quick().with_cases(30);
         let names = vec!["AS1239".to_string()];
-        let a = thoroughness_report(&names, &cfg);
+        let a = thoroughness_report(&names, &cfg).unwrap();
         assert!(a.to_string().contains("AS1239"));
-        let b = embedding_report(&names, &cfg);
+        let b = embedding_report(&names, &cfg).unwrap();
         assert_eq!(b.rows.len(), 1);
         // Geometric embedding should collect at least as much as random.
         let geo: f64 = b.rows[0][3].parse().unwrap();

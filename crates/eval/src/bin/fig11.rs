@@ -1,9 +1,9 @@
 //! Regenerates Figure 11: irrecoverable share vs failure radius.
 
+use rtr_eval::cli::{or_exit, Options};
+
 fn main() {
-    let opts = rtr_eval::cli::Options::from_env().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    opts.emit(&rtr_eval::fig11::fig11(&opts.topologies, &opts.config));
+    let opts = or_exit(Options::from_env());
+    let report = rtr_eval::fig11::fig11(&opts.topologies, &opts.config);
+    opts.emit(&or_exit(report));
 }

@@ -2,14 +2,10 @@
 //! crossed with single-link, sparse multi-link, correlated-area, and
 //! multi-area failure classes (see `--help`).
 
+use rtr_eval::cli::{or_exit, Options};
+
 fn main() {
-    let opts = rtr_eval::cli::Options::from_env().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let report = rtr_eval::matrix::matrix(&opts.topologies, &opts.config).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
-    opts.emit(&report);
+    let opts = or_exit(Options::from_env());
+    let report = rtr_eval::matrix::matrix(&opts.topologies, &opts.config);
+    opts.emit(&or_exit(report));
 }

@@ -1,10 +1,9 @@
 //! Concurrent-recovery network load extension (see `--help`).
 
+use rtr_eval::cli::{or_exit, Options};
+
 fn main() {
-    let opts = rtr_eval::cli::Options::from_env().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let opts = or_exit(Options::from_env());
     let report = rtr_eval::netload::netload(&opts.topologies, &opts.config);
-    opts.emit(&report);
+    opts.emit(&or_exit(report));
 }

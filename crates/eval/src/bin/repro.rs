@@ -1,22 +1,19 @@
 //! Runs the complete evaluation: every table and figure plus the headline
 //! comparison, writing text and JSON artifacts to `results/`.
 
+use rtr_eval::cli::{or_exit, Options};
 use std::fmt::Write as _;
 use std::path::Path;
 
 fn main() {
-    let opts = rtr_eval::cli::Options::from_env().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let opts = or_exit(Options::from_env());
     let out_dir = Path::new("results");
     std::fs::create_dir_all(out_dir).expect("create results/");
 
-    let results =
-        rtr_eval::driver::run_topologies(&opts.topologies, &opts.config).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
+    let results = or_exit(rtr_eval::driver::run_topologies(
+        &opts.topologies,
+        &opts.config,
+    ));
 
     let mut text = String::new();
     let mut save = |name: &str, rendered: String, json: String| {
@@ -43,23 +40,26 @@ fn main() {
     emit!("table4", rtr_eval::reports::table4(&results));
     emit!(
         "fig11",
-        rtr_eval::fig11::fig11(&opts.topologies, &opts.config)
+        or_exit(rtr_eval::fig11::fig11(&opts.topologies, &opts.config))
     );
     emit!("headline", rtr_eval::reports::headline(&results));
     emit!(
         "ablation_thoroughness",
-        rtr_eval::ablations::thoroughness_report(&opts.topologies, &opts.config)
+        or_exit(rtr_eval::ablations::thoroughness_report(
+            &opts.topologies,
+            &opts.config
+        ))
     );
     emit!(
         "ablation_embedding",
-        rtr_eval::ablations::embedding_report(&opts.topologies, &opts.config)
+        or_exit(rtr_eval::ablations::embedding_report(
+            &opts.topologies,
+            &opts.config
+        ))
     );
     emit!(
         "matrix",
-        rtr_eval::matrix::matrix(&opts.topologies, &opts.config).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
+        or_exit(rtr_eval::matrix::matrix(&opts.topologies, &opts.config))
     );
 
     std::fs::write(out_dir.join("all.txt"), &text).expect("write all.txt");

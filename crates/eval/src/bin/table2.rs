@@ -1,9 +1,8 @@
 //! Regenerates Table II: the topology inventory.
 
+use rtr_eval::cli::{or_exit, Options};
+
 fn main() {
-    let opts = rtr_eval::cli::Options::from_env().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let opts = or_exit(Options::from_env());
     opts.emit(&rtr_eval::reports::table2());
 }

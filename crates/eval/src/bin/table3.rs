@@ -1,14 +1,12 @@
 //! Regenerates Table3 from a full workload run (see `--help`).
 
+use rtr_eval::cli::{or_exit, Options};
+
 fn main() {
-    let opts = rtr_eval::cli::Options::from_env().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let results =
-        rtr_eval::driver::run_topologies(&opts.topologies, &opts.config).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
+    let opts = or_exit(Options::from_env());
+    let results = or_exit(rtr_eval::driver::run_topologies(
+        &opts.topologies,
+        &opts.config,
+    ));
     opts.emit(&rtr_eval::reports::table3(&results));
 }

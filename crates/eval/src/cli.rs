@@ -126,6 +126,15 @@ impl Options {
     }
 }
 
+/// Unwraps a binary's result, or prints the error to stderr and exits 2:
+/// bad arguments, an unknown `--topos` name, an MRC build failure.
+pub fn or_exit<T>(result: Result<T, impl std::fmt::Display>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
 /// Usage text shared by the binaries.
 pub const USAGE: &str = "\
 usage: <experiment> [--cases N] [--paper|--quick] [--seed S] [--topos AS209,AS701,...] \

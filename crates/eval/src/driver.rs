@@ -19,14 +19,13 @@ use crate::baseline::Baseline;
 use crate::config::ExperimentConfig;
 use crate::par;
 use crate::schemes::{
-    build_comparators, eval_irrecoverable_in, eval_recoverable_in, IrrecoverableRow, RecoverableRow,
+    build_comparators, eval_irrecoverable, eval_recoverable, IrrecoverableRow, RecoverableRow,
 };
-use crate::testcase::{generate_workload_shared, ScenarioCases, TestCase, Workload};
+use crate::testcase::{by_initiator, generate_workload_shared, ScenarioCases, Workload};
 use rtr_baselines::{MrcError, RecoveryScheme, SchemeId, SchemeMask};
 use rtr_core::SessionPool;
 use rtr_sim::SimTime;
-use rtr_topology::{isp, NodeId};
-use std::collections::BTreeMap;
+use rtr_topology::isp;
 use std::fmt;
 
 /// Number of sample points of the Fig. 10 time grid (0..=1 s).
@@ -71,16 +70,6 @@ impl TopologyResults {
             .contains(id)
             .then(|| self.fig10_series[id.index()].as_slice())
     }
-}
-
-/// Groups a scenario's cases by initiator, preserving deterministic order.
-/// Shared with the `--trace` replay so both walk sessions identically.
-pub(crate) fn by_initiator(cases: &[TestCase]) -> BTreeMap<NodeId, Vec<&TestCase>> {
-    let mut map: BTreeMap<NodeId, Vec<&TestCase>> = BTreeMap::new();
-    for c in cases {
-        map.entry(c.initiator).or_default().push(c);
-    }
-    map
 }
 
 /// Partial results of one scenario: the rows in case order plus the
@@ -134,7 +123,7 @@ fn run_scenario(
         let mut scheme_lease = pool.scheme_scratch();
         let optimal = optimal_lease.run(w.topo(), &sc.scenario, initiator);
         for case in cases {
-            let (row, series) = eval_recoverable_in(
+            let (row, series) = eval_recoverable(
                 ctx,
                 &sc.scenario,
                 &mut session,
@@ -173,7 +162,7 @@ fn run_scenario(
         );
         let mut scheme_lease = pool.scheme_scratch();
         for case in cases {
-            out.irrecoverable.push(eval_irrecoverable_in(
+            out.irrecoverable.push(eval_irrecoverable(
                 ctx,
                 &sc.scenario,
                 &mut session,
@@ -361,6 +350,23 @@ impl From<MrcUnavailable> for EvalError {
     }
 }
 
+/// Resolves topology names to their Table II profiles (all eight twins
+/// when `names` is empty). Every experiment entry point resolves its
+/// `--topos` list here.
+///
+/// # Errors
+///
+/// [`UnknownTopology`] for the first name outside Table II.
+pub fn profiles(names: &[String]) -> Result<Vec<isp::IspProfile>, UnknownTopology> {
+    if names.is_empty() {
+        return Ok(isp::TABLE2.to_vec());
+    }
+    names
+        .iter()
+        .map(|n| isp::profile(n).ok_or_else(|| UnknownTopology(n.clone())))
+        .collect()
+}
+
 /// Runs every topology in `names` (all eight Table II twins when empty),
 /// fanning whole topologies out across the thread budget; any leftover
 /// budget parallelises scenarios inside each topology.
@@ -374,14 +380,7 @@ pub fn run_topologies(
     names: &[String],
     cfg: &ExperimentConfig,
 ) -> Result<Vec<TopologyResults>, EvalError> {
-    let profiles: Vec<isp::IspProfile> = if names.is_empty() {
-        isp::TABLE2.to_vec()
-    } else {
-        names
-            .iter()
-            .map(|n| isp::profile(n).ok_or_else(|| UnknownTopology(n.clone())))
-            .collect::<Result<_, _>>()?
-    };
+    let profiles = profiles(names)?;
 
     // Split the budget: outer workers take whole topologies, and each
     // passes its share of the remainder down to `run_workload`.
@@ -558,6 +557,29 @@ mod tests {
         );
         let msg = err.to_string();
         assert!(msg.contains("ASnope") && msg.contains("AS1239"), "{msg}");
+    }
+
+    #[test]
+    fn every_entry_point_rejects_an_unknown_topology() {
+        let cfg = ExperimentConfig::quick().with_cases(1);
+        let names = ["ASnope".to_string()];
+        let nope = UnknownTopology("ASnope".to_string());
+        assert_eq!(profiles(&names).unwrap_err(), nope);
+        assert_eq!(crate::fig11::fig11(&names, &cfg).unwrap_err(), nope);
+        assert_eq!(crate::netload::netload(&names, &cfg).unwrap_err(), nope);
+        assert_eq!(crate::shapes::shapes(&names, &cfg).unwrap_err(), nope);
+        let sensitivity = crate::sensitivity::sensitivity(&names, &cfg);
+        assert_eq!(sensitivity.unwrap_err(), nope);
+        let thoroughness = crate::ablations::thoroughness_report(&names, &cfg);
+        assert_eq!(thoroughness.unwrap_err(), nope);
+        let embedding = crate::ablations::embedding_report(&names, &cfg);
+        assert_eq!(embedding.unwrap_err(), nope);
+        assert_eq!(
+            crate::matrix::matrix(&names, &cfg).unwrap_err(),
+            EvalError::UnknownTopology(nope)
+        );
+        let trace = crate::trace::write_trace(&names, &cfg, "unwritten.jsonl");
+        assert!(trace.unwrap_err().contains("ASnope"));
     }
 
     #[test]

@@ -7,13 +7,14 @@
 
 use crate::baseline::Baseline;
 use crate::config::ExperimentConfig;
+use crate::driver::{profiles, UnknownTopology};
 use crate::metrics::percentage;
 use crate::reports::{FigureReport, Series};
 use crate::testcase::component_labels;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtr_routing::RoutingTable;
-use rtr_topology::{isp, FailureScenario, GraphView, LinkId, NodeId, Region, Topology};
+use rtr_topology::{FailureScenario, GraphView, LinkId, NodeId, Region, Topology};
 
 /// Per-source shortest-path-tree children lists, precomputed once per
 /// topology so each scenario's broken-path count is O(n) per source.
@@ -109,15 +110,12 @@ pub fn sweep_topology(base: &Baseline, cfg: &ExperimentConfig, seed: u64) -> Vec
 
 /// Builds the full Fig. 11 report over the given topology names (all eight
 /// Table II twins when empty).
-pub fn fig11(names: &[String], cfg: &ExperimentConfig) -> FigureReport {
-    let profiles: Vec<isp::IspProfile> = if names.is_empty() {
-        isp::TABLE2.to_vec()
-    } else {
-        names
-            .iter()
-            .map(|n| isp::profile(n).unwrap_or_else(|| panic!("unknown topology {n}")))
-            .collect()
-    };
+///
+/// # Errors
+///
+/// [`UnknownTopology`] for a name outside Table II (nothing runs).
+pub fn fig11(names: &[String], cfg: &ExperimentConfig) -> Result<FigureReport, UnknownTopology> {
+    let profiles = profiles(names)?;
     let series = profiles
         .into_iter()
         .map(|p| {
@@ -129,14 +127,14 @@ pub fn fig11(names: &[String], cfg: &ExperimentConfig) -> FigureReport {
             }
         })
         .collect();
-    FigureReport {
+    Ok(FigureReport {
         id: "Figure 11".into(),
         title: "Percentage of failed routing paths that are irrecoverable under failure areas of different radii"
             .into(),
         xlabel: "radius".into(),
         ylabel: "percentage (%)".into(),
         series,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -17,12 +17,11 @@
 //! pays stretch; RTR delivers optimally everywhere it delivers at all.
 
 use crate::config::ExperimentConfig;
-use crate::driver::{run_workload, MrcUnavailable};
+use crate::driver::{profiles, run_workload, EvalError};
 use crate::json::{Json, ToJson};
 use crate::metrics::percentage;
 use crate::testcase::{generate_class_workload, ScenarioClass};
 use rtr_baselines::SchemeId;
-use rtr_topology::isp;
 use std::fmt;
 
 /// One scheme's aggregate over one scenario class.
@@ -80,17 +79,10 @@ struct CellAcc {
 ///
 /// # Errors
 ///
-/// Propagates [`MrcUnavailable`] from the driver; unknown topology names
-/// panic (matching the other extension experiments).
-pub fn matrix(names: &[String], cfg: &ExperimentConfig) -> Result<MatrixReport, MrcUnavailable> {
-    let profiles: Vec<isp::IspProfile> = if names.is_empty() {
-        isp::TABLE2.to_vec()
-    } else {
-        names
-            .iter()
-            .map(|n| isp::profile(n).unwrap_or_else(|| panic!("unknown topology {n}")))
-            .collect()
-    };
+/// [`EvalError::UnknownTopology`] for a name outside Table II (nothing
+/// runs), and [`EvalError::Mrc`] from the driver.
+pub fn matrix(names: &[String], cfg: &ExperimentConfig) -> Result<MatrixReport, EvalError> {
+    let profiles = profiles(names)?;
     let mut acc = vec![[CellAcc::default(); SchemeId::COUNT]; ScenarioClass::ALL.len()];
     let mut case_counts = vec![0usize; ScenarioClass::ALL.len()];
     for p in &profiles {

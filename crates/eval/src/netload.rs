@@ -8,8 +8,9 @@
 
 use crate::baseline::Baseline;
 use crate::config::ExperimentConfig;
+use crate::driver::{profiles, UnknownTopology};
 use crate::reports::{FigureReport, Series};
-use crate::testcase::{cases_for_scenario, random_region};
+use crate::testcase::{by_initiator, cases_for_scenario, random_region};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rtr_core::SessionPool;
@@ -42,13 +43,9 @@ pub fn disaster_load(
     // One session per initiator: its phase-1 walk plus the first recovered
     // packet toward each destination it serves.
     let mut flows = Vec::new();
-    let mut by_initiator: std::collections::BTreeMap<_, Vec<_>> = Default::default();
-    for c in &cases.recoverable {
-        by_initiator.entry(c.initiator).or_default().push(c);
-    }
     let delay = DelayModel::PAPER;
     let pool = SessionPool::new();
-    for (initiator, group) in by_initiator {
+    for (initiator, group) in by_initiator(&cases.recoverable) {
         let mut session = pool
             .start_session(
                 topo,
@@ -90,15 +87,12 @@ pub fn disaster_load(
 }
 
 /// Builds the concurrent-recovery load figure over the given topologies.
-pub fn netload(names: &[String], cfg: &ExperimentConfig) -> FigureReport {
-    let profiles: Vec<isp::IspProfile> = if names.is_empty() {
-        isp::TABLE2.to_vec()
-    } else {
-        names
-            .iter()
-            .map(|n| isp::profile(n).unwrap_or_else(|| panic!("unknown topology {n}")))
-            .collect()
-    };
+///
+/// # Errors
+///
+/// [`UnknownTopology`] for a name outside Table II (nothing runs).
+pub fn netload(names: &[String], cfg: &ExperimentConfig) -> Result<FigureReport, UnknownTopology> {
+    let profiles = profiles(names)?;
     let mut series = Vec::new();
     for p in profiles {
         eprintln!("[rtr-eval] disaster load on {}...", p.name);
@@ -118,14 +112,14 @@ pub fn netload(names: &[String], cfg: &ExperimentConfig) -> FigureReport {
             points: pts,
         });
     }
-    FigureReport {
+    Ok(FigureReport {
         id: "Extension L".into(),
         title: "Network-wide bytes on the wire while all initiators of one disaster recover concurrently"
             .into(),
         xlabel: "time (s)".into(),
         ylabel: "bytes per 10 ms".into(),
         series,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -149,7 +143,7 @@ mod tests {
     #[test]
     fn report_renders() {
         let cfg = ExperimentConfig::quick();
-        let fig = netload(&["AS1239".to_string()], &cfg);
+        let fig = netload(&["AS1239".to_string()], &cfg).unwrap();
         assert_eq!(fig.series.len(), 1);
         assert!(fig.to_string().contains("AS1239"));
     }

@@ -217,7 +217,7 @@ pub fn build_comparators(
 ///
 /// Returns the row plus the per-scheme overhead series used by Fig. 10.
 #[allow(clippy::too_many_arguments)]
-pub fn eval_recoverable_in(
+pub fn eval_recoverable(
     ctx: SchemeCtx<'_>,
     scenario: &FailureScenario,
     session: &mut RtrSession<'_, FailureScenario>,
@@ -275,31 +275,10 @@ pub fn eval_recoverable_in(
     )
 }
 
-/// Like [`eval_recoverable_in`], allocating throw-away scratch (tests and
-/// one-shot callers; the driver's hot loop pools its buffers instead).
-pub fn eval_recoverable(
-    ctx: SchemeCtx<'_>,
-    scenario: &FailureScenario,
-    session: &mut RtrSession<'_, FailureScenario>,
-    comparators: &[Box<dyn RecoveryScheme>],
-    optimal: &ShortestPaths,
-    case: &TestCase,
-) -> (RecoverableRow, CaseSeries) {
-    eval_recoverable_in(
-        ctx,
-        scenario,
-        session,
-        comparators,
-        optimal,
-        case,
-        &mut SchemeScratch::new(),
-    )
-}
-
 /// Evaluates RTR plus every comparator on one *irrecoverable* case
 /// (§IV-D): nothing can deliver, so the measurements are what each scheme
 /// wastes before giving up.
-pub fn eval_irrecoverable_in(
+pub fn eval_irrecoverable(
     ctx: SchemeCtx<'_>,
     scenario: &FailureScenario,
     session: &mut RtrSession<'_, FailureScenario>,
@@ -340,29 +319,11 @@ pub fn eval_irrecoverable_in(
     }
 }
 
-/// Like [`eval_irrecoverable_in`], allocating throw-away scratch.
-pub fn eval_irrecoverable(
-    ctx: SchemeCtx<'_>,
-    scenario: &FailureScenario,
-    session: &mut RtrSession<'_, FailureScenario>,
-    comparators: &[Box<dyn RecoveryScheme>],
-    case: &TestCase,
-) -> IrrecoverableRow {
-    eval_irrecoverable_in(
-        ctx,
-        scenario,
-        session,
-        comparators,
-        case,
-        &mut SchemeScratch::new(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ExperimentConfig;
-    use crate::testcase::generate_workload;
+    use crate::testcase::{by_initiator, generate_workload};
     use rtr_core::SessionPool;
     use rtr_routing::dijkstra::dijkstra;
     use rtr_topology::generate;
@@ -425,12 +386,7 @@ mod tests {
         let pool = SessionPool::new();
         let mut rows = Vec::new();
         for sc in &w.scenarios {
-            let mut by_initiator: std::collections::BTreeMap<_, Vec<&crate::testcase::TestCase>> =
-                Default::default();
-            for c in &sc.recoverable {
-                by_initiator.entry(c.initiator).or_default().push(c);
-            }
-            for (initiator, cases) in by_initiator {
+            for (initiator, cases) in by_initiator(&sc.recoverable) {
                 let failed = cases[0].failed_link;
                 let mut session = pool
                     .start_session(w.topo(), w.crosslinks(), &sc.scenario, initiator, failed)
@@ -444,6 +400,7 @@ mod tests {
                         &comparators,
                         &optimal,
                         case,
+                        &mut SchemeScratch::new(),
                     );
                     // Theorem 2: RTR delivered => optimal, stretch exactly 1.
                     let rtr = row.rtr();
@@ -505,12 +462,7 @@ mod tests {
         let pool = SessionPool::new();
         let mut rows = Vec::new();
         for sc in &w.scenarios {
-            let mut by_initiator: std::collections::BTreeMap<_, Vec<&crate::testcase::TestCase>> =
-                Default::default();
-            for c in &sc.irrecoverable {
-                by_initiator.entry(c.initiator).or_default().push(c);
-            }
-            for (initiator, cases) in by_initiator {
+            for (initiator, cases) in by_initiator(&sc.irrecoverable) {
                 let failed = cases[0].failed_link;
                 let mut session = pool
                     .start_session(w.topo(), w.crosslinks(), &sc.scenario, initiator, failed)
@@ -522,6 +474,7 @@ mod tests {
                         &mut session,
                         &comparators,
                         case,
+                        &mut SchemeScratch::new(),
                     );
                     assert_eq!(row.rtr().computation, 1);
                     assert!(row.fcp().unwrap().computation >= 1);

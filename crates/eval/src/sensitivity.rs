@@ -7,10 +7,11 @@
 
 use crate::baseline::Baseline;
 use crate::config::ExperimentConfig;
+use crate::driver::{profiles, UnknownTopology};
 use crate::metrics::percentage;
 use crate::reports::{FigureReport, Series};
 use crate::schemes::build_comparators;
-use crate::testcase::generate_workload_shared;
+use crate::testcase::{by_initiator, generate_workload_shared};
 use rtr_baselines::{SchemeId, SchemeMask};
 use rtr_core::{SchemeScratch, SessionPool};
 use rtr_topology::isp;
@@ -59,11 +60,7 @@ pub fn sweep_radius(
         let mut cases = 0usize;
         let (mut rtr_ok, mut fcp_ok, mut mrc_ok) = (0usize, 0usize, 0usize);
         for sc in &w.scenarios {
-            let mut by_initiator: std::collections::BTreeMap<_, Vec<_>> = Default::default();
-            for c in &sc.recoverable {
-                by_initiator.entry(c.initiator).or_default().push(c);
-            }
-            for (initiator, group) in by_initiator {
+            for (initiator, group) in by_initiator(&sc.recoverable) {
                 let mut session = pool
                     .start_session(
                         w.topo(),
@@ -109,15 +106,15 @@ pub fn sweep_radius(
 }
 
 /// Builds the radius-sensitivity figure over the given topologies.
-pub fn sensitivity(names: &[String], cfg: &ExperimentConfig) -> FigureReport {
-    let profiles: Vec<isp::IspProfile> = if names.is_empty() {
-        isp::TABLE2.to_vec()
-    } else {
-        names
-            .iter()
-            .map(|n| isp::profile(n).unwrap_or_else(|| panic!("unknown topology {n}")))
-            .collect()
-    };
+///
+/// # Errors
+///
+/// [`UnknownTopology`] for a name outside Table II (nothing runs).
+pub fn sensitivity(
+    names: &[String],
+    cfg: &ExperimentConfig,
+) -> Result<FigureReport, UnknownTopology> {
+    let profiles = profiles(names)?;
     let radii: Vec<f64> = (1..=8).map(|i| i as f64 * 50.0).collect();
     let mut series = Vec::new();
     for p in profiles {
@@ -137,13 +134,13 @@ pub fn sensitivity(names: &[String], cfg: &ExperimentConfig) -> FigureReport {
             });
         }
     }
-    FigureReport {
+    Ok(FigureReport {
         id: "Extension S".into(),
         title: "Recovery rate on recoverable test cases vs failure radius".into(),
         xlabel: "radius".into(),
         ylabel: "recovery rate (%)".into(),
         series,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -168,7 +165,7 @@ mod tests {
     #[test]
     fn report_renders() {
         let cfg = ExperimentConfig::quick().with_cases(25);
-        let fig = sensitivity(&["AS1239".to_string()], &cfg);
+        let fig = sensitivity(&["AS1239".to_string()], &cfg).unwrap();
         assert_eq!(fig.series.len(), 3);
         assert!(fig.to_string().contains("RTR (AS1239)"));
     }

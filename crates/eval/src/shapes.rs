@@ -9,14 +9,15 @@
 
 use crate::baseline::Baseline;
 use crate::config::ExperimentConfig;
+use crate::driver::{profiles, UnknownTopology};
 use crate::metrics::percentage;
 use crate::reports::TableReport;
-use crate::testcase::cases_for_scenario;
+use crate::testcase::{by_initiator, cases_for_scenario};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtr_core::SessionPool;
 use rtr_routing::shortest_path;
-use rtr_topology::{isp, FailureScenario, Point, Polygon, Region};
+use rtr_topology::{FailureScenario, Point, Polygon, Region};
 
 /// The failure-area shapes under comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,11 +113,7 @@ pub fn evaluate_shape(
         let region = shape.region(cx, cy, r);
         let scenario = FailureScenario::from_region(topo, &region);
         let sc = cases_for_scenario(base, region, scenario);
-        let mut by_initiator: std::collections::BTreeMap<_, Vec<_>> = Default::default();
-        for c in &sc.recoverable {
-            by_initiator.entry(c.initiator).or_default().push(c);
-        }
-        for (initiator, group) in by_initiator {
+        for (initiator, group) in by_initiator(&sc.recoverable) {
             if cases >= cfg.cases_per_class {
                 break;
             }
@@ -158,15 +155,12 @@ pub fn evaluate_shape(
 }
 
 /// Builds the shape-comparison table over the given topologies.
-pub fn shapes(names: &[String], cfg: &ExperimentConfig) -> TableReport {
-    let profiles: Vec<isp::IspProfile> = if names.is_empty() {
-        isp::TABLE2.to_vec()
-    } else {
-        names
-            .iter()
-            .map(|n| isp::profile(n).unwrap_or_else(|| panic!("unknown topology {n}")))
-            .collect()
-    };
+///
+/// # Errors
+///
+/// [`UnknownTopology`] for a name outside Table II (nothing runs).
+pub fn shapes(names: &[String], cfg: &ExperimentConfig) -> Result<TableReport, UnknownTopology> {
+    let profiles = profiles(names)?;
     let mut rows = Vec::new();
     for p in profiles {
         eprintln!("[rtr-eval] shape comparison on {}...", p.name);
@@ -179,7 +173,7 @@ pub fn shapes(names: &[String], cfg: &ExperimentConfig) -> TableReport {
         }
         rows.push(row);
     }
-    TableReport {
+    Ok(TableReport {
         id: "Extension F".into(),
         title: "RTR under equal-area failure shapes: recovery % and mean phase-1 hops".into(),
         headers: vec![
@@ -192,7 +186,7 @@ pub fn shapes(names: &[String], cfg: &ExperimentConfig) -> TableReport {
             "Hops rect4:1".into(),
         ],
         rows,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -234,7 +228,7 @@ mod tests {
     #[test]
     fn every_shape_recovers_most_cases() {
         let cfg = ExperimentConfig::quick().with_cases(80);
-        let base = Baseline::for_profile(&isp::profile("AS1239").unwrap());
+        let base = Baseline::for_profile(&rtr_topology::isp::profile("AS1239").unwrap());
         for shape in Shape::ALL {
             let s = evaluate_shape(&base, shape, &cfg, 1);
             assert_eq!(s.cases, 80, "{}", shape.label());
@@ -251,7 +245,7 @@ mod tests {
     #[test]
     fn report_renders() {
         let cfg = ExperimentConfig::quick().with_cases(30);
-        let t = shapes(&["AS1239".to_string()], &cfg);
+        let t = shapes(&["AS1239".to_string()], &cfg).unwrap();
         assert_eq!(t.rows.len(), 1);
         assert!(t.to_string().contains("rect4:1"));
     }

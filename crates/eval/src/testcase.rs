@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtr_routing::RoutingTable;
 use rtr_topology::{CrossLinkTable, FailureScenario, GraphView, LinkId, NodeId, Region, Topology};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One test case: the recovery starts at `initiator` (whose default next
@@ -26,6 +27,21 @@ pub struct TestCase {
     pub failed_link: LinkId,
     /// The destination of the failed routing path.
     pub dest: NodeId,
+}
+
+/// Groups cases by initiator: one entry per initiator in ascending
+/// [`NodeId`] order, each holding its cases in input order. This is the
+/// driver's session layout (one RTR session per initiator per class,
+/// started on the group's first failed link), shared by every consumer
+/// that must walk sessions the way the driver does.
+pub fn by_initiator<'a>(
+    cases: impl IntoIterator<Item = &'a TestCase>,
+) -> BTreeMap<NodeId, Vec<&'a TestCase>> {
+    let mut map: BTreeMap<NodeId, Vec<&'a TestCase>> = BTreeMap::new();
+    for c in cases {
+        map.entry(c.initiator).or_default().push(c);
+    }
+    map
 }
 
 /// All test cases produced by one failure area.

@@ -12,8 +12,9 @@
 
 use crate::baseline::Baseline;
 use crate::config::ExperimentConfig;
-use crate::driver::{by_initiator, UnknownTopology};
+use crate::driver::{profiles, UnknownTopology};
 use crate::json::{Json, ToJson};
+use crate::testcase::by_initiator;
 use crate::testcase::{generate_workload_shared, ScenarioCases, Workload};
 use crate::writer;
 use rtr_core::{RecoveryScratch, RtrSession};
@@ -197,19 +198,6 @@ impl ToJson for MetricsRegistry {
     }
 }
 
-/// Resolves topology names the same way the driver does (all of Table II
-/// when empty).
-fn profiles_for(names: &[String]) -> Result<Vec<isp::IspProfile>, UnknownTopology> {
-    if names.is_empty() {
-        Ok(isp::TABLE2.to_vec())
-    } else {
-        names
-            .iter()
-            .map(|n| isp::profile(n).ok_or_else(|| UnknownTopology(n.clone())))
-            .collect()
-    }
-}
-
 /// Regenerates the named workloads (deterministically, from the shared
 /// per-topology baselines) and replays every scenario into a
 /// per-scenario [`MetricsRegistry`], written to `path` as one JSONL line
@@ -220,7 +208,7 @@ fn profiles_for(names: &[String]) -> Result<Vec<isp::IspProfile>, UnknownTopolog
 /// A human-readable message for an unknown topology name or an I/O
 /// failure writing `path`.
 pub fn write_trace(names: &[String], cfg: &ExperimentConfig, path: &str) -> Result<(), String> {
-    let profiles = profiles_for(names).map_err(|e| e.to_string())?;
+    let profiles = profiles(names).map_err(|e| e.to_string())?;
     let mut lines = String::new();
     for p in profiles {
         let baseline = Baseline::for_profile(&p);

@@ -11,21 +11,12 @@
 
 use rtr_core::SessionPool;
 use rtr_eval::config::ExperimentConfig;
-use rtr_eval::schemes::{build_comparators, eval_recoverable_in, RecoverableRow};
-use rtr_eval::testcase::TestCase;
+use rtr_eval::schemes::{build_comparators, eval_recoverable, RecoverableRow};
+use rtr_eval::testcase::{by_initiator, TestCase};
 use rtr_eval::trace::{first_recoverable_scenario, replay_scenario, workload_for, SessionReplay};
 use rtr_obs::{DiscardReason, Event};
 use rtr_sim::LINK_ID_BYTES;
 use rtr_topology::NodeId;
-use std::collections::BTreeMap;
-
-fn by_initiator(cases: &[TestCase]) -> BTreeMap<NodeId, Vec<&TestCase>> {
-    let mut map: BTreeMap<NodeId, Vec<&TestCase>> = BTreeMap::new();
-    for c in cases {
-        map.entry(c.initiator).or_default().push(c);
-    }
-    map
-}
 
 /// Asserts one replayed session's event stream against the driver rows of
 /// the same initiator group, plus the optimal distances for stretch.
@@ -153,7 +144,7 @@ fn replayed_events_byte_equal_driver_metrics() {
         let rows: Vec<RecoverableRow> = cases
             .iter()
             .map(|case| {
-                let (row, _) = eval_recoverable_in(
+                let (row, _) = eval_recoverable(
                     ctx,
                     &sc.scenario,
                     &mut session,

@@ -20,14 +20,14 @@
 
 use crate::clock::Stamp;
 use crate::proto::{self, FrameBuf, Outcome, RecoverRequest, RegionSpec, Request, Response};
-use crate::service::ServiceHandle;
+use crate::service::{serve, ServeConfig, ServiceHandle, ServiceReport};
+use crate::Fleet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtr_eval::baseline::Baseline;
 use rtr_eval::config::ExperimentConfig;
-use rtr_eval::testcase::{generate_workload_shared, TestCase};
+use rtr_eval::testcase::{by_initiator, generate_workload_shared, TestCase};
 use rtr_obs::Histogram;
-use rtr_topology::NodeId;
 use std::collections::BTreeMap;
 use std::io::Read;
 use std::net::TcpStream;
@@ -182,11 +182,7 @@ fn requests_for_class(
     spec: RegionSpec,
     cases: &[TestCase],
 ) {
-    let mut by_initiator: BTreeMap<NodeId, Vec<&TestCase>> = BTreeMap::new();
-    for c in cases {
-        by_initiator.entry(c.initiator).or_default().push(c);
-    }
-    for (initiator, group) in by_initiator {
+    for (initiator, group) in by_initiator(cases) {
         let Some(first) = group.first() else { continue };
         out.push(RecoverRequest {
             id: out.len() as u64 + 1,
@@ -487,10 +483,42 @@ pub fn run_load(
     Ok(report)
 }
 
+/// Starts a fresh service over `fleet` with `workers` workers, drives
+/// one [`run_load`] through it over `transport` (`"inproc"` or `"tcp"`
+/// on an ephemeral loopback port), drains it, and returns both reports.
+///
+/// # Errors
+///
+/// A service that fails to start, a transport failure, or a
+/// [`run_load`] error.
+pub fn run_served(
+    fleet: &Fleet,
+    mix: &[RecoverRequest],
+    transport: &str,
+    workers: usize,
+    cfg: &LoadConfig,
+) -> Result<(LoadReport, ServiceReport), String> {
+    let serve_cfg = ServeConfig {
+        workers,
+        bind: (transport == "tcp").then(|| "127.0.0.1:0".to_string()),
+    };
+    let (load, service_report) = serve(fleet, &serve_cfg, |h| -> Result<LoadReport, String> {
+        if transport == "tcp" {
+            let addr = h.addr().ok_or("service has no TCP address")?;
+            let mut t = TcpClient::connect(&addr.to_string())?;
+            run_load(&mut t, mix, cfg)
+        } else {
+            let mut t = InProc::new(h);
+            run_load(&mut t, mix, cfg)
+        }
+    })?;
+    Ok((load?, service_report))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtr_topology::generate;
+    use rtr_topology::{generate, NodeId};
 
     fn grid_baseline() -> Arc<Baseline> {
         Arc::new(Baseline::new(generate::grid(5, 5, 400.0)))
@@ -539,6 +567,20 @@ mod tests {
             }
         }
         assert_eq!(mix.len(), expected);
+    }
+
+    #[test]
+    fn run_served_drains_clean_over_both_transports() {
+        let base = grid_baseline();
+        let fleet = Fleet::from_baselines(vec![("grid5".into(), Arc::clone(&base))]);
+        let mix = build_mix(0, "grid5", &base, 20, 3);
+        for transport in ["inproc", "tcp"] {
+            let cfg = LoadConfig::saturate(4, 0.2, 1);
+            let (load, service) = run_served(&fleet, &mix, transport, 2, &cfg).unwrap();
+            assert!(load.completed > 0, "{transport}");
+            assert_eq!(load.errors, 0, "{transport}");
+            assert!(load.drained_clean && service.drained_clean, "{transport}");
+        }
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! every surviving violation must match a justified entry in
 //! `crates/xtask/allow.toml` ([`allow`]).
 //!
-//! `cargo xtask bench-record` / `bench-check` ([`mod@bench`]) regenerate and
-//! validate the committed `BENCH_eval.json`.
+//! `cargo xtask bench-record` / `bench-scale` / `bench-serve` /
+//! `bench-churn` / `bench-check` ([`mod@bench`]) regenerate and validate
+//! the committed `BENCH_*.json` artifacts, all driven by one artifact
+//! table.
 
 #![deny(missing_docs)]
 

@@ -37,86 +37,71 @@ fn main() -> ExitCode {
             };
             run_analyze_cli(mode)
         }
-        Some("bench-record") => run_bench(xtask::bench::run_bench_record, "bench-record"),
-        Some("bench-check") => run_bench(xtask::bench::run_bench_check, "bench-check"),
-        Some("bench-scale") => {
-            let smoke = match args.get(1).map(String::as_str) {
-                None => false,
-                Some("--smoke") => true,
-                Some(other) => {
-                    eprintln!("cargo xtask bench-scale: unknown flag `{other}` (expected --smoke)");
-                    return ExitCode::FAILURE;
-                }
-            };
-            run_bench(
-                move |root| xtask::bench::run_bench_scale(root, smoke),
-                "bench-scale",
-            )
-        }
-        Some("bench-serve") => {
-            let smoke = match args.get(1).map(String::as_str) {
-                None => false,
-                Some("--smoke") => true,
-                Some(other) => {
-                    eprintln!("cargo xtask bench-serve: unknown flag `{other}` (expected --smoke)");
-                    return ExitCode::FAILURE;
-                }
-            };
-            run_bench(
-                move |root| xtask::bench::run_bench_serve(root, smoke),
-                "bench-serve",
-            )
-        }
-        Some("bench-churn") => {
-            let smoke = match args.get(1).map(String::as_str) {
-                None => false,
-                Some("--smoke") => true,
-                Some(other) => {
-                    eprintln!("cargo xtask bench-churn: unknown flag `{other}` (expected --smoke)");
-                    return ExitCode::FAILURE;
-                }
-            };
-            run_bench(
-                move |root| xtask::bench::run_bench_churn(root, smoke),
-                "bench-churn",
-            )
-        }
-        other => {
-            eprintln!(
-                "usage: cargo xtask <analyze [--json|--github|--list-rules]|bench-record|bench-check|bench-scale [--smoke]|bench-serve [--smoke]|bench-churn [--smoke]>\n  \
-                 (got {:?})\n\n\
-                 analyze       Runs the workspace static-analysis pass: panic-freedom,\n\
-                 \x20             print/determinism discipline in the hot-path crates,\n\
-                 \x20             paper-invariant lints, theorem coverage, thread\n\
-                 \x20             discipline, link-set membership, unsafe-audit, and\n\
-                 \x20             allocation discipline in steady-state functions.\n\
-                 \x20             --json emits a machine-readable report, --github adds\n\
-                 \x20             workflow ::error annotations, --list-rules prints the\n\
-                 \x20             rule registry (the DESIGN.md \u{a7}7 table).\n\
-                 bench-record  Regenerates BENCH_eval.json at the workspace root\n\
-                 \x20             (driver wall times serial vs parallel, sweep time).\n\
-                 bench-check   Validates the committed BENCH_eval.json (parses, rows\n\
-                 \x20             carry serial_secs/sweep_secs, speedups sane for the\n\
-                 \x20             recording host) and fails if a fresh run regresses\n\
-                 \x20             >2x on the serial total or on any topology's sweep_secs;\n\
-                 \x20             also schema-validates the committed BENCH_scale.json,\n\
-                 \x20             BENCH_serve.json (quantiles, drains, scaling), and\n\
-                 \x20             BENCH_churn.json (oracle-checked, incremental <= rebuild).\n\
-                 bench-scale   Regenerates BENCH_scale.json at the workspace root\n\
-                 \x20             (1k-100k-node size sweep per generator); --smoke runs\n\
-                 \x20             only the 1k tier into target/bench-scale/ (the CI job).\n\
-                 bench-serve   Regenerates BENCH_serve.json at the workspace root\n\
-                 \x20             (loadgen QPS x workers x transport sweep); --smoke runs\n\
-                 \x20             the 1-second tier into target/bench-serve/ (the CI job).\n\
-                 bench-churn   Regenerates BENCH_churn.json at the workspace root\n\
-                 \x20             (per-event incremental vs rebuild baseline cost, every\n\
-                 \x20             event oracle-checked); --smoke runs one small-grid\n\
-                 \x20             timeline into target/bench-churn/ (the CI job).",
-                other.unwrap_or("<nothing>")
-            );
-            ExitCode::FAILURE
-        }
+        Some("bench-check") => run_bench("bench-check", xtask::bench::run_bench_check),
+        Some(command) => match xtask::bench::artifact_for(command) {
+            Some(artifact) => {
+                let smoke_tier = artifact.recorder.as_ref().is_some_and(|r| r.smoke);
+                let smoke = match args.get(1).map(String::as_str) {
+                    None => false,
+                    Some("--smoke") if smoke_tier => true,
+                    Some(other) => {
+                        eprintln!(
+                            "cargo xtask {command}: unknown flag `{other}`{}",
+                            if smoke_tier {
+                                " (expected --smoke)"
+                            } else {
+                                ""
+                            }
+                        );
+                        return ExitCode::FAILURE;
+                    }
+                };
+                run_bench(command, |root| {
+                    xtask::bench::run_recorder(root, artifact, smoke)
+                })
+            }
+            None => usage(Some(command)),
+        },
+        None => usage(None),
     }
+}
+
+/// Prints the usage text (naming the unrecognised command, if any) and
+/// fails.
+fn usage(other: Option<&str>) -> ExitCode {
+    eprintln!(
+        "usage: cargo xtask <analyze [--json|--github|--list-rules]|bench-record|bench-check|bench-scale [--smoke]|bench-serve [--smoke]|bench-churn [--smoke]>\n  \
+         (got {:?})\n\n\
+         analyze       Runs the workspace static-analysis pass: panic-freedom,\n\
+         \x20             print/determinism discipline in the hot-path crates,\n\
+         \x20             paper-invariant lints, theorem coverage, thread\n\
+         \x20             discipline, link-set membership, unsafe-audit, and\n\
+         \x20             allocation discipline in steady-state functions.\n\
+         \x20             --json emits a machine-readable report, --github adds\n\
+         \x20             workflow ::error annotations, --list-rules prints the\n\
+         \x20             rule registry (the DESIGN.md \u{a7}7 table).\n\
+         bench-record  Regenerates BENCH_eval.json at the workspace root\n\
+         \x20             (driver wall times serial vs parallel, sweep time).\n\
+         bench-check   Validates every committed artifact: BENCH_eval.json (rows\n\
+         \x20             carry serial_secs/sweep_secs, speedups sane for the\n\
+         \x20             recording host), BENCH_scale.json (full-sweep floor),\n\
+         \x20             BENCH_serve.json (quantiles, drains, scaling),\n\
+         \x20             BENCH_churn.json (oracle-checked, incremental <= rebuild)\n\
+         \x20             and results/matrix.json; then fails if a fresh eval run\n\
+         \x20             regresses >2x on the serial total or any sweep_secs.\n\
+         bench-scale   Regenerates BENCH_scale.json at the workspace root\n\
+         \x20             (1k-100k-node size sweep per generator); --smoke runs\n\
+         \x20             only the 1k tier into target/bench-scale/ (the CI job).\n\
+         bench-serve   Regenerates BENCH_serve.json at the workspace root\n\
+         \x20             (QPS x workers x transport serving sweep); --smoke runs\n\
+         \x20             the 1-second tier into target/bench-serve/ (the CI job).\n\
+         bench-churn   Regenerates BENCH_churn.json at the workspace root\n\
+         \x20             (per-event incremental vs rebuild baseline cost, every\n\
+         \x20             event oracle-checked); --smoke runs one small-grid\n\
+         \x20             timeline into target/bench-churn/ (the CI job).",
+        other.unwrap_or("<nothing>")
+    );
+    ExitCode::FAILURE
 }
 
 /// Runs the analyze pass and renders it in `mode`.
@@ -175,7 +160,7 @@ fn run_analyze_cli(mode: AnalyzeMode) -> ExitCode {
 }
 
 /// Runs one bench subcommand with the workspace root resolved.
-fn run_bench(f: impl FnOnce(&std::path::Path) -> Result<(), String>, name: &str) -> ExitCode {
+fn run_bench(name: &str, f: impl FnOnce(&std::path::Path) -> Result<(), String>) -> ExitCode {
     let root = match xtask::engine::workspace_root() {
         Ok(root) => root,
         Err(e) => {
