@@ -13,7 +13,8 @@
 //!
 //! Run through `cargo xtask bench-churn`, which places the artifact at
 //! the repository root; `--smoke` runs one small-grid workload (the CI
-//! churn-smoke job).
+//! churn-smoke job). The full run takes under a minute on a 2-core host,
+//! most of it the 2,000-node front's per-event rebuilds.
 
 use rtr_bench::{median, Recorder};
 use rtr_eval::baseline::Baseline;
@@ -54,6 +55,19 @@ fn workloads(smoke: bool) -> Vec<(String, Topology, Timeline)> {
         50,
     );
     out.push(("AS3549-front".to_string(), topo, tl));
+    // The same kind of front over a 2,000-node topology, where a patch
+    // that scanned every node or link per source would show.
+    let topo = generate::isp_like(2_000, 4_000, 2_000.0, SEED).expect("isp_like parameters");
+    let steps = 16usize;
+    let tl = Timeline::moving_front(
+        &topo,
+        Point::new(0.0, 1_000.0),
+        (2_000.0 / steps as f64, 0.0),
+        250.0,
+        steps,
+        50,
+    );
+    out.push(("isp2000-front".to_string(), topo, tl));
     out
 }
 

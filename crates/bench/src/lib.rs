@@ -7,6 +7,9 @@
 //! `{schema, host_parallelism, smoke, <recorder header keys>, points}`
 //! through [`Recorder::write`]. `cargo xtask` launches each one as
 //! `cargo run --release -p rtr-bench --bin bench_<kind> -- [--smoke] PATH`.
+//! When `RTR_BENCH_HOST` is set, its text (a description of the recording
+//! host, such as whether it is shared) is written as a `host` key after
+//! `host_parallelism`, since timings mean little without it.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -92,6 +95,8 @@ pub struct Recorder {
     path: String,
     /// `std::thread::available_parallelism()` on the recording host.
     pub host: usize,
+    /// `RTR_BENCH_HOST`: free-text description of the recording host.
+    host_note: Option<String>,
 }
 
 impl Recorder {
@@ -112,6 +117,7 @@ impl Recorder {
             smoke,
             path,
             host,
+            host_note: std::env::var("RTR_BENCH_HOST").ok(),
         };
         rec.note(format_args!(
             "host parallelism {host}{}",
@@ -126,7 +132,8 @@ impl Recorder {
     }
 
     /// Writes the envelope `{schema, host_parallelism, smoke, <header>,
-    /// points}` to the output path, with schema tag `bench-<kind>-v1`.
+    /// points}` (plus `host` when `RTR_BENCH_HOST` is set) to the output
+    /// path, with schema tag `bench-<kind>-v1`.
     ///
     /// # Panics
     ///
@@ -135,8 +142,11 @@ impl Recorder {
         let mut fields = vec![
             ("schema", Json::Str(format!("bench-{}-v1", self.kind))),
             ("host_parallelism", Json::Num(self.host as f64)),
-            ("smoke", Json::Num(f64::from(u8::from(self.smoke)))),
         ];
+        if let Some(note) = &self.host_note {
+            fields.push(("host", Json::Str(note.clone())));
+        }
+        fields.push(("smoke", Json::Num(f64::from(u8::from(self.smoke)))));
         fields.extend(header);
         fields.push(("points", Json::Arr(points)));
         let text = format!("{}\n", Json::Obj(fields).pretty());

@@ -14,9 +14,9 @@
 //!   shortest-path trees plus the first-hop destination buckets the
 //!   harvest uses — and folds [`TimelineEvent`]s into it **incrementally**:
 //!   each per-source tree is patched in place with the Narvaez-style
-//!   remove/restore repairs of
-//!   [`IncrementalSpt`], and only the sources
-//!   whose tree actually changed get their buckets rebuilt. A from-scratch
+//!   remove/restore repairs of [`IncrementalSpt`], and only the
+//!   destinations those repairs may have rerouted are rebucketed. A
+//!   from-scratch
 //!   [`rebuilt`](DynamicBaseline::rebuilt) oracle plus
 //!   [`divergence`](DynamicBaseline::divergence) proves the patched state
 //!   byte-identical to a full rebuild (the canonical-tree invariant,
@@ -58,7 +58,7 @@ use crate::par;
 use core::fmt;
 use rtr_core::{DeliveryOutcome, SessionPool};
 use rtr_obs::{Event, NoopSink, TraceSink};
-use rtr_routing::{IncrementalSpt, SptScratch};
+use rtr_routing::{IncrementalSpt, SptLabels, SptScratch};
 use rtr_topology::{LinkId, LinkMask, NodeId, Timeline, TimelineEvent, Topology};
 use std::sync::Arc;
 
@@ -69,42 +69,54 @@ pub struct PatchStats {
     pub down: usize,
     /// Links the event actually restored (no-op repairs filtered).
     pub up: usize,
-    /// Sources whose tree changed and whose buckets were rebuilt.
+    /// Sources whose tree repair re-examined at least one label.
     pub sources_touched: usize,
     /// Tree labels re-examined across all patched sources — the work
     /// metric `BENCH_churn.json` compares against a full rebuild.
     pub labels_touched: usize,
 }
 
-/// First-hop memo entry: `None` = not computed yet, `Some(h)` = computed
-/// (`h == None` means unreachable from the source).
-type HopMemo = Option<Option<LinkId>>;
+/// [`Source::hop`] entry of a destination with no first hop (unreachable,
+/// or the source itself).
+const NO_HOP: u32 = u32::MAX;
+
+/// One router's believed converged state.
+#[derive(Debug, Default)]
+struct Source {
+    /// Its shortest-path tree, parked between patches.
+    tree: SptLabels,
+    /// `hop[t]`: the slot of the router's incident link its believed path
+    /// to `t` leaves over, or [`NO_HOP`].
+    hop: Vec<u32>,
+    /// `dests[k]`: the destinations whose believed path leaves over the
+    /// `k`-th incident link, ascending.
+    dests: Vec<Vec<NodeId>>,
+}
 
 /// The believed converged state of every router, maintained incrementally
 /// across a failure timeline.
 ///
-/// Holds one parked per-source tree ([`SptScratch`]) per node plus the
-/// first-hop destination buckets (`dests_via`) the §IV harvest walks.
-/// [`apply_event`](Self::apply_event) patches both in place;
-/// [`rebuilt`](Self::rebuilt) recomputes the same state from scratch as
-/// the oracle.
+/// Holds, per router, a parked shortest-path tree ([`SptLabels`]: labels
+/// plus child index), each destination's first-hop slot, and the first-hop
+/// destination buckets (`dests_via`) the §IV harvest walks.
+/// [`apply_event`](Self::apply_event) patches all of them in place through
+/// one shared set of repair buffers; [`rebuilt`](Self::rebuilt) recomputes
+/// the same state from scratch as the oracle.
 #[derive(Debug)]
 pub struct DynamicBaseline {
     base: Arc<Baseline>,
     mask: LinkMask,
-    /// Parked per-source trees, indexed by `NodeId::index`. `Option` so a
-    /// tree can be checked out (rehydrated into an [`IncrementalSpt`])
-    /// while the rest of the struct stays borrowable.
-    trees: Vec<Option<SptScratch>>,
-    /// `slot_base[u] + k` indexes the bucket of `u`'s `k`-th incident
-    /// link, mirroring [`Baseline`]'s layout.
-    slot_base: Vec<usize>,
-    buckets: Vec<Vec<NodeId>>,
+    /// Per-router state, indexed by `NodeId::index`.
+    sources: Vec<Source>,
     events_applied: usize,
-    // Rebucketing scratch (memoized first-hop walks).
-    memo: Vec<HopMemo>,
-    walk: Vec<NodeId>,
-    slot_of: Vec<usize>,
+    /// Repair buffers every source's patch runs in; between patches it
+    /// carries no tree, and during one it borrows `mask` as the removed
+    /// links of every tree.
+    work: SptScratch,
+    rebucket: Rebucket,
+    // The event's effective deltas, reused across events.
+    downs: Vec<LinkId>,
+    ups: Vec<LinkId>,
 }
 
 impl DynamicBaseline {
@@ -136,51 +148,35 @@ impl DynamicBaseline {
         let threads = par::resolve_threads(threads);
         let ranges = par::chunk_ranges(n, threads.max(1) * 4);
         let chunks = par::map_indexed(threads, &ranges, |_, r| {
-            let mut trees = Vec::with_capacity(r.len());
-            let mut buckets: Vec<Vec<NodeId>> = Vec::new();
-            let mut memo: Vec<HopMemo> = vec![None; n];
-            let mut walk = Vec::new();
-            let mut slot_of = vec![usize::MAX; topo.link_count()];
-            for ui in r.clone() {
-                let u = NodeId(ui as u32);
-                let tree = IncrementalSpt::with_view(topo, &mask, u);
-                let first = buckets.len();
-                buckets.resize(first + topo.neighbors(u).len(), Vec::new());
-                rebucket_source(
-                    topo,
-                    &tree,
-                    &mut buckets[first..],
-                    &mut memo,
-                    &mut walk,
-                    &mut slot_of,
-                );
-                trees.push(Some(tree.into_scratch()));
-            }
-            (trees, buckets)
+            let mut scratch = SptScratch::default();
+            let mut rebucket = Rebucket::default();
+            r.clone()
+                .map(|ui| {
+                    let u = NodeId(ui as u32);
+                    let tree =
+                        IncrementalSpt::with_view_in(topo, &mask, u, std::mem::take(&mut scratch));
+                    let mut src = Source {
+                        tree: SptLabels::default(),
+                        hop: vec![NO_HOP; n],
+                        dests: vec![Vec::new(); topo.neighbors(u).len()],
+                    };
+                    rebucket.note(n, topo.node_ids().filter(|&t| t != u));
+                    rebucket.apply(topo, &tree, &mut src);
+                    scratch = tree.into_scratch();
+                    scratch.swap_labels(&mut src.tree);
+                    src
+                })
+                .collect::<Vec<_>>()
         });
-        let mut trees = Vec::with_capacity(n);
-        let mut buckets = Vec::new();
-        for (t, b) in chunks {
-            trees.extend(t);
-            buckets.extend(b);
-        }
-        let mut slot_base = Vec::with_capacity(n);
-        let mut acc = 0;
-        for u in topo.node_ids() {
-            slot_base.push(acc);
-            acc += topo.neighbors(u).len();
-        }
-        let link_count = topo.link_count();
         DynamicBaseline {
             base,
             mask,
-            trees,
-            slot_base,
-            buckets,
+            sources: chunks.into_iter().flatten().collect(),
             events_applied,
-            memo: vec![None; n],
-            walk: Vec::new(),
-            slot_of: vec![usize::MAX; link_count],
+            work: SptScratch::default(),
+            rebucket: Rebucket::default(),
+            downs: Vec::new(),
+            ups: Vec::new(),
         }
     }
 
@@ -213,23 +209,17 @@ impl DynamicBaseline {
     /// slots.
     #[must_use]
     pub fn dests_via(&self, u: NodeId, slot: usize) -> &[NodeId] {
-        let Some(&first) = self.slot_base.get(u.index()) else {
-            return &[];
-        };
-        if slot >= self.topo().neighbors(u).len() {
-            return &[];
-        }
-        self.buckets.get(first + slot).map_or(&[], Vec::as_slice)
+        self.sources
+            .get(u.index())
+            .and_then(|s| s.dests.get(slot))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// The believed distance from `u` to `t` (`None` when unreachable in
     /// the believed view, or for out-of-range ids).
     #[must_use]
     pub fn distance(&self, u: NodeId, t: NodeId) -> Option<u64> {
-        self.trees
-            .get(u.index())
-            .and_then(Option::as_ref)
-            .and_then(|s| s.distance(t))
+        self.sources.get(u.index())?.tree.distance(t)
     }
 
     /// The first hop of the believed path from `u` to `t`, as the
@@ -237,15 +227,9 @@ impl DynamicBaseline {
     /// unreachable or equals `u`.
     #[must_use]
     pub fn first_hop(&self, u: NodeId, t: NodeId) -> Option<LinkId> {
-        let tree = self.trees.get(u.index()).and_then(Option::as_ref)?;
-        let mut cur = t;
-        let mut hop = None;
-        while cur != u {
-            let (p, l) = tree.parent(cur)?;
-            hop = Some(l);
-            cur = p;
-        }
-        hop
+        let slot = *self.sources.get(u.index())?.hop.get(t.index())?;
+        let &(_, l) = self.topo().neighbors(u).get(slot as usize)?;
+        Some(l)
     }
 
     /// Folds one timeline event into the believed state, silently. See
@@ -257,69 +241,67 @@ impl DynamicBaseline {
     /// Folds one timeline event into the believed state **in place**:
     /// filters no-op deltas (downing a dead link, repairing a live one),
     /// patches every per-source tree with the incremental remove/restore
-    /// repairs, and rebuckets only the sources whose tree changed. Emits
-    /// one [`Event::BaselinePatched`] carrying the returned stats.
+    /// repairs, and rebuckets only the destinations whose path those
+    /// repairs may have changed. Allocates nothing once its buffers have
+    /// grown to the timeline's largest event. Emits one
+    /// [`Event::BaselinePatched`] carrying the returned stats.
     pub fn apply_event_traced<S: TraceSink>(
         &mut self,
         ev: &TimelineEvent,
         sink: &mut S,
     ) -> PatchStats {
         let link_count = self.topo().link_count();
-        let downs: Vec<LinkId> = ev
-            .down
-            .iter()
-            .copied()
-            .filter(|&l| l.index() < link_count && !self.mask.is_removed(l))
-            .collect();
-        for &l in &downs {
+        self.downs.clear();
+        self.downs.extend(
+            ev.down
+                .iter()
+                .filter(|&&l| l.index() < link_count && !self.mask.is_removed(l)),
+        );
+        for &l in &self.downs {
             self.mask.remove(l);
         }
-        let ups: Vec<LinkId> = ev
-            .up
-            .iter()
-            .copied()
-            .filter(|&l| self.mask.is_removed(l))
-            .collect();
-        for &l in &ups {
+        self.ups.clear();
+        self.ups
+            .extend(ev.up.iter().filter(|&&l| self.mask.is_removed(l)));
+        for &l in &self.ups {
             self.mask.restore(l);
         }
 
         let mut stats = PatchStats {
-            down: downs.len(),
-            up: ups.len(),
+            down: self.downs.len(),
+            up: self.ups.len(),
             sources_touched: 0,
             labels_touched: 0,
         };
-        if !downs.is_empty() || !ups.is_empty() {
+        if !self.downs.is_empty() || !self.ups.is_empty() {
             let topo = self.base.topo();
-            for ui in 0..topo.node_count() {
-                let Some(scratch) = self.trees.get_mut(ui).and_then(Option::take) else {
-                    continue;
-                };
+            let n = topo.node_count();
+            let mut work = std::mem::take(&mut self.work);
+            work.swap_removed(&mut self.mask);
+            for (ui, src) in self.sources.iter_mut().enumerate() {
                 let u = NodeId(ui as u32);
-                let mut tree = IncrementalSpt::resume_in(topo, u, scratch);
-                tree.remove_links(downs.iter().copied());
+                work.swap_labels(&mut src.tree);
+                let mut tree = IncrementalSpt::resume_in(topo, u, work);
+                // Every tree shares the mask, and the previous source's
+                // restore cleared `ups` in it: remove them again with
+                // `downs`. No tree built without a link uses it, so that
+                // re-removal repairs nothing.
+                tree.remove_links(self.ups.iter().chain(&self.downs).copied());
                 let mut touched = tree.nodes_touched();
-                tree.restore_links(ups.iter().copied());
+                self.rebucket.note(n, tree.rerouted().iter().copied());
+                tree.restore_links(self.ups.iter().copied());
                 touched += tree.nodes_touched();
+                self.rebucket.note(n, tree.rerouted().iter().copied());
                 if touched > 0 {
                     stats.sources_touched += 1;
                     stats.labels_touched += touched;
-                    let first = self.slot_base.get(ui).copied().unwrap_or(0);
-                    let slots = topo.neighbors(u).len();
-                    rebucket_source(
-                        topo,
-                        &tree,
-                        &mut self.buckets[first..first + slots],
-                        &mut self.memo,
-                        &mut self.walk,
-                        &mut self.slot_of,
-                    );
                 }
-                if let Some(slot) = self.trees.get_mut(ui) {
-                    *slot = Some(tree.into_scratch());
-                }
+                self.rebucket.apply(topo, &tree, src);
+                work = tree.into_scratch();
+                work.swap_labels(&mut src.tree);
             }
+            work.swap_removed(&mut self.mask);
+            self.work = work;
         }
         self.events_applied += 1;
         sink.emit(Event::BaselinePatched {
@@ -351,15 +333,15 @@ impl DynamicBaseline {
             self.events_applied,
         );
         sink.emit(Event::BaselineRebuilt {
-            sources: self.trees.len(),
+            sources: self.sources.len(),
         });
         out
     }
 
     /// Compares every observable of the two states — link mask, per-source
-    /// distances and tree parents, first-hop buckets — and reports the
-    /// first mismatch as a human-readable string, or `None` when
-    /// byte-identical.
+    /// distances, tree parents and first hops, first-hop buckets — and
+    /// reports the first mismatch as a human-readable string, or `None`
+    /// when byte-identical.
     #[must_use]
     pub fn divergence(&self, other: &DynamicBaseline) -> Option<String> {
         let topo = self.topo();
@@ -370,34 +352,27 @@ impl DynamicBaseline {
             }
         }
         for u in topo.node_ids() {
-            let (a, b) = (
-                self.trees.get(u.index()).and_then(Option::as_ref),
-                other.trees.get(u.index()).and_then(Option::as_ref),
-            );
-            let (Some(a), Some(b)) = (a, b) else {
-                return Some(format!("tree for source {u} missing"));
+            let (Some(a), Some(b)) = (self.sources.get(u.index()), other.sources.get(u.index()))
+            else {
+                return Some(format!("state for source {u} missing"));
             };
             for t in topo.node_ids() {
-                if a.distance(t) != b.distance(t) {
-                    return Some(format!(
-                        "distance({u}, {t}): {:?} vs {:?}",
-                        a.distance(t),
-                        b.distance(t)
-                    ));
+                let (da, db) = (a.tree.distance(t), b.tree.distance(t));
+                if da != db {
+                    return Some(format!("distance({u}, {t}): {da:?} vs {db:?}"));
                 }
-                if a.parent(t) != b.parent(t) {
-                    return Some(format!(
-                        "parent({u}, {t}): {:?} vs {:?}",
-                        a.parent(t),
-                        b.parent(t)
-                    ));
+                let (pa, pb) = (a.tree.parent(t), b.tree.parent(t));
+                if pa != pb {
+                    return Some(format!("parent({u}, {t}): {pa:?} vs {pb:?}"));
+                }
+                let (ha, hb) = (self.first_hop(u, t), other.first_hop(u, t));
+                if ha != hb {
+                    return Some(format!("first_hop({u}, {t}): {ha:?} vs {hb:?}"));
                 }
             }
-        }
-        if self.buckets != other.buckets {
-            for (i, (a, b)) in self.buckets.iter().zip(&other.buckets).enumerate() {
-                if a != b {
-                    return Some(format!("bucket {i} differs: {a:?} vs {b:?}"));
+            for (k, (da, db)) in a.dests.iter().zip(&b.dests).enumerate() {
+                if da != db {
+                    return Some(format!("dests_via({u}, {k}): {da:?} vs {db:?}"));
                 }
             }
         }
@@ -405,101 +380,157 @@ impl DynamicBaseline {
     }
 }
 
-/// Rebuilds one source's first-hop buckets from its (already patched)
-/// tree. `buckets` is the source's contiguous per-incident-link slice;
-/// `memo`/`walk`/`slot_of` are reusable scratch. Destinations land in
-/// ascending id order, matching [`Baseline`]'s layout.
-fn rebucket_source(
-    topo: &Topology,
-    tree: &IncrementalSpt<'_>,
-    buckets: &mut [Vec<NodeId>],
-    memo: &mut [HopMemo],
-    walk: &mut Vec<NodeId>,
-    slot_of: &mut [usize],
-) {
-    let u = tree.source();
-    for m in memo.iter_mut() {
-        *m = None;
-    }
-    for b in buckets.iter_mut() {
-        b.clear();
-    }
-    let nbrs = topo.neighbors(u);
-    for (k, &(_, l)) in nbrs.iter().enumerate() {
-        if let Some(s) = slot_of.get_mut(l.index()) {
-            *s = k;
+/// Rebucketing scratch: moves the destinations whose first hop changed
+/// between one source's buckets, touching only destinations noted as
+/// possibly rerouted and the buckets they leave or join.
+#[derive(Debug, Default)]
+struct Rebucket {
+    /// Noted destinations, each once.
+    todo: Vec<NodeId>,
+    /// Per destination: [`IDLE`], [`NOTED`] or [`MOVED`].
+    state: Vec<u8>,
+    /// One parent-chain walk being resolved.
+    walk: Vec<NodeId>,
+    /// Per slot of the source: count, then write cursor in `adds`, of the
+    /// moved destinations joining it.
+    joins: Vec<usize>,
+    /// Per slot of the source: some destination left it.
+    left: Vec<bool>,
+    /// The moved destinations grouped by new slot, ascending in each.
+    adds: Vec<NodeId>,
+    /// One bucket being rewritten.
+    merged: Vec<NodeId>,
+}
+
+/// [`Rebucket::state`]: not noted, or first hop resolved and unchanged.
+const IDLE: u8 = 0;
+/// [`Rebucket::state`]: noted, first hop not yet resolved.
+const NOTED: u8 = 1;
+/// [`Rebucket::state`]: first hop resolved and changed.
+const MOVED: u8 = 2;
+
+impl Rebucket {
+    /// Notes destinations of an `n`-node topology whose first hop may have
+    /// changed.
+    fn note(&mut self, n: usize, dests: impl Iterator<Item = NodeId>) {
+        if self.state.len() != n {
+            self.state.clear();
+            self.state.resize(n, IDLE);
         }
-    }
-    for t in topo.node_ids() {
-        if t == u {
-            continue;
-        }
-        if let Some(l) = first_hop_memo(tree, u, t, memo, walk) {
-            let k = slot_of.get(l.index()).copied().unwrap_or(usize::MAX);
-            if let Some(b) = buckets.get_mut(k) {
-                b.push(t);
+        for t in dests {
+            if let Some(s) = self.state.get_mut(t.index()) {
+                if *s == IDLE {
+                    *s = NOTED;
+                    self.todo.push(t);
+                }
             }
         }
     }
-    for &(_, l) in nbrs {
-        if let Some(s) = slot_of.get_mut(l.index()) {
-            *s = usize::MAX;
+
+    /// Resolves the noted destinations' first hops from `tree` (the
+    /// source's patched tree) into `src.hop` and moves every destination
+    /// whose slot changed between `src.dests`, keeping each bucket
+    /// ascending. Leaves nothing noted.
+    fn apply(&mut self, topo: &Topology, tree: &IncrementalSpt<'_>, src: &mut Source) {
+        if self.todo.is_empty() {
+            return;
+        }
+        let u = tree.source();
+        let (hops, buckets) = (&mut src.hop, &mut src.dests);
+        self.todo.sort_unstable();
+        self.joins.clear();
+        self.joins.resize(buckets.len(), 0);
+        self.left.clear();
+        self.left.resize(buckets.len(), false);
+        // Walk each unresolved destination up its parent chain to the
+        // first node whose hop is known: the source's child (its link),
+        // an unreachable node, or a node not noted or already resolved.
+        for i in 0..self.todo.len() {
+            let mut cur = self.todo[i];
+            self.walk.clear();
+            let hop = loop {
+                if self.state[cur.index()] != NOTED {
+                    break hops[cur.index()];
+                }
+                self.walk.push(cur);
+                match tree.parent(cur) {
+                    None => break NO_HOP,
+                    Some((p, l)) if p == u => break slot_of(topo, u, l),
+                    Some((p, _)) => cur = p,
+                }
+            };
+            for &v in &self.walk {
+                let old = std::mem::replace(&mut hops[v.index()], hop);
+                if old == hop {
+                    self.state[v.index()] = IDLE;
+                    continue;
+                }
+                self.state[v.index()] = MOVED;
+                if let Some(left) = self.left.get_mut(old as usize) {
+                    *left = true;
+                }
+                if let Some(j) = self.joins.get_mut(hop as usize) {
+                    *j += 1;
+                }
+            }
+        }
+        // Group the moved destinations by new slot, ascending within each
+        // group (`todo` is sorted), with `joins` as each group's cursor.
+        let mut end = 0;
+        for j in &mut self.joins {
+            end += *j;
+            *j = end - *j;
+        }
+        self.adds.clear();
+        self.adds.resize(end, NodeId(0));
+        for &t in &self.todo {
+            if self.state[t.index()] == MOVED {
+                self.state[t.index()] = IDLE;
+                if let Some(j) = self.joins.get_mut(hops[t.index()] as usize) {
+                    self.adds[*j] = t;
+                    *j += 1;
+                }
+            }
+        }
+        self.todo.clear();
+        // Rewrite each bucket a destination left or joined in one pass:
+        // drop the leavers, merge in the joiners. The cursors now mark
+        // each group's end.
+        let mut from = 0;
+        for (k, bucket) in buckets.iter_mut().enumerate() {
+            let adds = &self.adds[from..self.joins[k]];
+            from = self.joins[k];
+            if !self.left[k] && adds.is_empty() {
+                continue;
+            }
+            if bucket.is_empty() {
+                bucket.extend_from_slice(adds);
+                continue;
+            }
+            self.merged.clear();
+            let mut adds = adds.iter().copied().peekable();
+            for &t in bucket.iter() {
+                if hops[t.index()] != k as u32 {
+                    continue;
+                }
+                while let Some(a) = adds.next_if(|&a| a < t) {
+                    self.merged.push(a);
+                }
+                self.merged.push(t);
+            }
+            self.merged.extend(adds);
+            bucket.clear();
+            bucket.extend_from_slice(&self.merged);
         }
     }
 }
 
-/// The first hop from `u` toward `t` in `tree`, with path compression:
-/// every node on the walked parent chain is memoized, so rebucketing a
-/// whole source is O(n) parent steps total instead of O(n · depth).
-fn first_hop_memo(
-    tree: &IncrementalSpt<'_>,
-    u: NodeId,
-    t: NodeId,
-    memo: &mut [HopMemo],
-    walk: &mut Vec<NodeId>,
-) -> Option<LinkId> {
-    walk.clear();
-    let mut cur = t;
-    let result = loop {
-        if cur == u {
-            // Unwinding assigns the link below `u` to the whole chain.
-            break None;
-        }
-        if let Some(Some(known)) = memo.get(cur.index()).copied() {
-            break known;
-        }
-        match tree.parent(cur) {
-            None => {
-                // Unreachable; memoize `cur` itself too.
-                if let Some(m) = memo.get_mut(cur.index()) {
-                    *m = Some(None);
-                }
-                break None;
-            }
-            Some((p, l)) => {
-                walk.push(cur);
-                if p == u {
-                    break Some(l);
-                }
-                cur = p;
-            }
-        }
-    };
-    // `result` is None only when the chain is unreachable or empty; a
-    // chain that reached `u` owns the link of its last pushed node.
-    let value = if result.is_some() {
-        result
-    } else if cur == u {
-        walk.last().and_then(|&v| tree.parent(v)).map(|(_, l)| l)
-    } else {
-        None
-    };
-    for &v in walk.iter() {
-        if let Some(m) = memo.get_mut(v.index()) {
-            *m = Some(value);
-        }
-    }
-    value
+/// The slot of `u`'s incident link `l` (`NO_HOP` if `l` is not incident).
+fn slot_of(topo: &Topology, u: NodeId, l: LinkId) -> u32 {
+    topo.neighbors(u)
+        .iter()
+        .position(|&(_, x)| x == l)
+        .map_or(NO_HOP, |k| k as u32)
 }
 
 /// Knobs for [`run_timeline`].
@@ -978,6 +1009,58 @@ mod tests {
             .filter(|e| matches!(e, Event::BaselinePatched { .. }))
             .collect();
         assert_eq!(patched.len(), 1);
+    }
+
+    #[test]
+    fn tie_only_restore_moves_the_whole_subtree_between_buckets() {
+        // Source 0 reaches node 3 at distance 2 over 0-2-3 or 0-1-3; node 4
+        // hangs below 3. With 1-3 down, 3's parent is 2. Restoring 1-3
+        // gives 3 the smaller parent 1 at the same distance: no distance
+        // below 3 changes, and 4 keeps its parent, yet the first hop of
+        // 3's whole subtree moves from link 0-2 to link 0-1.
+        let mut b = Topology::builder();
+        for i in 0..5 {
+            b.add_node((f64::from(i), f64::from(i % 2)));
+        }
+        let l02 = b.add_link(NodeId(0), NodeId(2), 1).unwrap();
+        b.add_link(NodeId(2), NodeId(3), 1).unwrap();
+        let l01 = b.add_link(NodeId(0), NodeId(1), 1).unwrap();
+        let l13 = b.add_link(NodeId(1), NodeId(3), 1).unwrap();
+        b.add_link(NodeId(3), NodeId(4), 1).unwrap();
+        let base = Arc::new(Baseline::new(b.build().unwrap()));
+        let (s, via_2, via_1) = (NodeId(0), 0, 1);
+        assert_eq!(base.topo().neighbors(s)[via_2].1, l02);
+        assert_eq!(base.topo().neighbors(s)[via_1].1, l01);
+
+        let mut dynbase = DynamicBaseline::new(Arc::clone(&base));
+        dynbase.apply_event(&TimelineEvent {
+            at_ms: 1,
+            down: vec![l13],
+            up: vec![],
+        });
+        assert_eq!(
+            dynbase.dests_via(s, via_2),
+            [NodeId(2), NodeId(3), NodeId(4)]
+        );
+        assert_eq!(dynbase.dests_via(s, via_1), [NodeId(1)]);
+        let parent_of_4 = dynbase.sources[0].tree.parent(NodeId(4));
+        let dist_of_4 = dynbase.distance(s, NodeId(4));
+
+        let stats = dynbase.apply_event(&TimelineEvent {
+            at_ms: 2,
+            down: vec![],
+            up: vec![l13],
+        });
+        assert!(stats.labels_touched > 0);
+        assert_eq!(dynbase.sources[0].tree.parent(NodeId(4)), parent_of_4);
+        assert_eq!(dynbase.distance(s, NodeId(4)), dist_of_4);
+        assert_eq!(dynbase.first_hop(s, NodeId(4)), Some(l01));
+        assert_eq!(dynbase.dests_via(s, via_2), [NodeId(2)]);
+        assert_eq!(
+            dynbase.dests_via(s, via_1),
+            [NodeId(1), NodeId(3), NodeId(4)]
+        );
+        assert_eq!(dynbase.divergence(&dynbase.rebuilt()), None);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtr_eval::baseline::Baseline;
 use rtr_eval::churn::{DynamicBaseline, PatchStats};
-use rtr_topology::{generate, LinkId, Timeline, TimelineEvent};
+use rtr_topology::{generate, LinkId, Point, Timeline, TimelineEvent};
 use std::sync::Arc;
 
 /// An arbitrary event stream over `topo`'s links: each step downs and
@@ -56,6 +56,32 @@ proptest! {
         let base = Arc::new(Baseline::new(topo));
         let mut dynbase = DynamicBaseline::new(Arc::clone(&base));
         for ev in &events {
+            dynbase.apply_event(ev);
+            let oracle = dynbase.rebuilt();
+            prop_assert_eq!(dynbase.divergence(&oracle), None);
+        }
+    }
+
+    /// Unit-cost grids are tie-heavy: most nodes have several equal-length
+    /// paths, so restores often change only a node's `(parent, link)` tie
+    /// and, with it, the first hop of a whole subtree whose distances all
+    /// stay put. A damage front sweeping across such a grid must still
+    /// leave the patched state byte-identical to a rebuild at every prefix.
+    #[test]
+    fn moving_fronts_on_unit_grids_match_rebuild_at_every_prefix(
+        rows in 2..9usize,
+        cols in 2..9usize,
+        y in 0.0..7.0f64,
+        radius in 0.6..2.5f64,
+        dx in 0.4..1.6f64,
+        steps in 2..9usize,
+    ) {
+        let topo = generate::grid(rows, cols, 1.0);
+        let timeline =
+            Timeline::moving_front(&topo, Point::new(-1.0, y), (dx, 0.0), radius, steps, 10);
+        let base = Arc::new(Baseline::new(topo));
+        let mut dynbase = DynamicBaseline::new(Arc::clone(&base));
+        for ev in timeline.events() {
             dynbase.apply_event(ev);
             let oracle = dynbase.rebuilt();
             prop_assert_eq!(dynbase.divergence(&oracle), None);

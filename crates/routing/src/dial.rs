@@ -27,8 +27,8 @@
 //!
 //! Only the monotone runs (`dijkstra`, `DijkstraScratch::run`/`run_to`,
 //! `IncrementalSpt` construction and `reset`) use this queue. The repair
-//! loops of [`IncrementalSpt::remove_links`]
-//! [`crate::IncrementalSpt::remove_links`] and `restore_links` seed their
+//! loops of [`IncrementalSpt::remove_links`](crate::IncrementalSpt::remove_links)
+//! and `restore_links` seed their
 //! frontier with already-absolute distances spanning far more than `C`,
 //! violating the circular-bucket invariant, so they run on a binary heap.
 

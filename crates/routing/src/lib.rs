@@ -38,5 +38,5 @@ pub mod table;
 pub use dijkstra::{bfs_hops, shortest_path, DijkstraScratch, ShortestPaths};
 pub use path::Path;
 pub use source_route::{SourceRoute, BYTES_PER_HOP};
-pub use spt::{IncrementalSpt, SptScratch};
+pub use spt::{IncrementalSpt, SptLabels, SptScratch};
 pub use table::RoutingTable;

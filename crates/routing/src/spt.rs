@@ -8,30 +8,212 @@
 //! subtree hanging below the removed tree edges is invalidated and repaired
 //! from the intact frontier, instead of rerunning Dijkstra from scratch.
 //!
+//! Every tree keeps a child index over its parent array
+//! ([`SptLabels`]), so an update finds the hanging subtrees by walking
+//! down from the cut links and never scans the whole topology: its cost
+//! is proportional to the labels it changes and their neighbour lists.
 //! [`IncrementalSpt::nodes_touched`] exposes how much work each update did,
 //! backing the incremental-vs-full ablation bench.
 
 use crate::dial::DialQueue;
 use crate::path::Path;
-use rtr_topology::{GraphView, LinkId, NodeId, Topology};
+use rtr_topology::{GraphView, LinkId, LinkMask, NodeId, Topology};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Owned buffer bundle for building [`IncrementalSpt`]s without fresh
-/// allocations.
+/// Sentinel for "no node" in parent and child-index fields.
+const NIL: u32 = u32::MAX;
+
+/// Sentinel distance of an unreachable node.
+const UNREACHED: u64 = u64::MAX;
+
+fn node(i: u32) -> Option<NodeId> {
+    (i != NIL).then_some(NodeId(i))
+}
+
+/// One node's entry in a tree: its labels and its child-index links,
+/// packed into 32 bytes so that reading or rewriting a node touches one
+/// record instead of one slot in each of five arrays.
+#[derive(Debug, Clone, Copy)]
+struct Label {
+    /// Distance from the source ([`UNREACHED`] when unreachable).
+    dist: u64,
+    /// Parent node ([`NIL`] for the source and unreachable nodes).
+    parent: u32,
+    /// Link to the parent (meaningless when `parent` is [`NIL`]).
+    link: u32,
+    /// Head of this node's child list.
+    first_child: u32,
+    /// Neighbours in the parent's child list.
+    next_sibling: u32,
+    prev_sibling: u32,
+}
+
+const UNREACHED_LABEL: Label = Label {
+    dist: UNREACHED,
+    parent: NIL,
+    link: NIL,
+    first_child: NIL,
+    next_sibling: NIL,
+    prev_sibling: NIL,
+};
+
+/// The persistent part of one shortest-path tree: every node's distance
+/// and parent labels plus a child index over the parent links.
+///
+/// The child index is a set of doubly linked sibling lists (first child,
+/// next and previous sibling), kept current by every label write, so the
+/// subtree below any node is enumerable in time proportional to its size.
+/// Everything else an update needs is working memory in [`SptScratch`],
+/// which many trees can share: the eval layer's incrementally patched
+/// baseline parks one `SptLabels` per source and swaps it into a single
+/// scratch to patch it (see [`SptScratch::swap_labels`]).
+#[derive(Debug, Clone, Default)]
+pub struct SptLabels {
+    nodes: Vec<Label>,
+}
+
+impl SptLabels {
+    /// Distance label of `n`, or `None` for an unreachable or out-of-range
+    /// node.
+    pub fn distance(&self, n: NodeId) -> Option<u64> {
+        let d = self.nodes.get(n.index())?.dist;
+        (d != UNREACHED).then_some(d)
+    }
+
+    /// Parent label of `n`: the tree neighbour and link its path arrives
+    /// over (`None` for the source, unreachable or out-of-range nodes).
+    pub fn parent(&self, n: NodeId) -> Option<(NodeId, LinkId)> {
+        let rec = self.nodes.get(n.index())?;
+        node(rec.parent).map(|p| (p, LinkId(rec.link)))
+    }
+
+    fn first_child(&self, n: NodeId) -> Option<NodeId> {
+        node(self.nodes.get(n.index())?.first_child)
+    }
+
+    fn next_sibling(&self, n: NodeId) -> Option<NodeId> {
+        node(self.nodes.get(n.index())?.next_sibling)
+    }
+
+    fn at(&mut self, i: u32) -> Option<&mut Label> {
+        self.nodes.get_mut(i as usize)
+    }
+
+    /// Replaces every label with a Dijkstra run's output and rebuilds the
+    /// child index.
+    fn load(&mut self, dist: &[Option<u64>], parent: &[Option<(NodeId, LinkId)>]) {
+        self.nodes.clear();
+        self.nodes
+            .extend(dist.iter().zip(parent).map(|(&d, &p)| Label {
+                dist: d.unwrap_or(UNREACHED),
+                parent: p.map_or(NIL, |(p, _)| p.0),
+                link: p.map_or(NIL, |(_, l)| l.0),
+                ..UNREACHED_LABEL
+            }));
+        for v in (0..self.nodes.len()).rev() {
+            if let Some(p) = self.nodes.get(v).map(|rec| rec.parent) {
+                if p != NIL {
+                    self.link_child(v as u32, p);
+                }
+            }
+        }
+    }
+
+    /// Pushes `v` onto the front of `p`'s child list.
+    fn link_child(&mut self, v: u32, p: u32) {
+        let Some(head) = self
+            .at(p)
+            .map(|rec| std::mem::replace(&mut rec.first_child, v))
+        else {
+            return;
+        };
+        if let Some(rec) = self.at(v) {
+            rec.next_sibling = head;
+            rec.prev_sibling = NIL;
+        }
+        if let Some(rec) = self.at(head) {
+            rec.prev_sibling = v;
+        }
+    }
+
+    /// Unlinks `v` from `p`'s child list.
+    fn unlink_child(&mut self, v: u32, p: u32) {
+        let Some((prev, next)) = self.at(v).map(|rec| (rec.prev_sibling, rec.next_sibling)) else {
+            return;
+        };
+        if prev == NIL {
+            if let Some(rec) = self.at(p) {
+                rec.first_child = next;
+            }
+        } else if let Some(rec) = self.at(prev) {
+            rec.next_sibling = next;
+        }
+        if let Some(rec) = self.at(next) {
+            rec.prev_sibling = prev;
+        }
+    }
+
+    /// Overwrites `n`'s labels, moving it between child lists when its
+    /// parent node changes (no-op when out of range).
+    fn set(&mut self, n: NodeId, dist: Option<u64>, parent: Option<(NodeId, LinkId)>) {
+        let new = parent.map_or(NIL, |(p, _)| p.0);
+        let Some(rec) = self.at(n.0) else {
+            return;
+        };
+        rec.dist = dist.unwrap_or(UNREACHED);
+        rec.link = parent.map_or(NIL, |(_, l)| l.0);
+        let old = std::mem::replace(&mut rec.parent, new);
+        if old != new {
+            if old != NIL {
+                self.unlink_child(n.0, old);
+            }
+            if new != NIL {
+                self.link_child(n.0, new);
+            }
+        }
+    }
+
+    /// Whether a path reaching `v` at distance `nd` over `(from, l)` beats
+    /// `v`'s label: shorter, or equally short with a smaller
+    /// `(parent, link)` pair — the order that makes the tree canonical.
+    fn improves(&self, v: NodeId, nd: u64, from: NodeId, l: LinkId) -> bool {
+        match self.distance(v) {
+            None => true,
+            Some(old) => {
+                nd < old
+                    || (nd == old
+                        && match self.parent(v) {
+                            None => true,
+                            Some((p, pl)) => (from, l) < (p, pl),
+                        })
+            }
+        }
+    }
+}
+
+/// Owned state of an [`IncrementalSpt`] apart from its topology borrow:
+/// the tree's [`SptLabels`], its removed-link mask and the repair buffers.
 ///
 /// An `IncrementalSpt` borrows its topology, so it cannot itself outlive a
-/// per-topology loop; the scratch carries just the label and repair buffers
-/// between trees. Build with [`IncrementalSpt::with_view_in`], recover the
-/// buffers with [`IncrementalSpt::into_scratch`].
+/// per-topology loop; the scratch carries its buffers between trees. Build
+/// with [`IncrementalSpt::with_view_in`], recover the buffers with
+/// [`IncrementalSpt::into_scratch`]. One scratch can also serve many
+/// parked trees in turn: [`swap_labels`](Self::swap_labels) exchanges the
+/// tree it carries, and [`swap_removed`](Self::swap_removed) lends it a
+/// mask the trees share.
 #[derive(Debug, Clone, Default)]
 pub struct SptScratch {
+    labels: SptLabels,
+    removed: LinkMask,
+    // A full rebuild's Dijkstra output, packed into `labels` by `reset`.
     dist: Vec<Option<u64>>,
     parent: Vec<Option<(NodeId, LinkId)>>,
-    removed: Vec<bool>,
-    children: Vec<Vec<NodeId>>,
-    affected: Vec<bool>,
-    stack: Vec<NodeId>,
+    // Repair working memory. `marked[v]` holds exactly while `v` is in
+    // `rerouted` during an update; every update clears its marks by
+    // walking `rerouted`, never by scanning all nodes.
+    marked: Vec<bool>,
+    rerouted: Vec<NodeId>,
     // The repair loops seed their frontier with absolute distances spanning
     // more than `max_link_cost`, outside Dial's window, so they use a heap;
     // full rebuilds use the bucket queue.
@@ -40,25 +222,199 @@ pub struct SptScratch {
 }
 
 impl SptScratch {
-    /// Distance label left behind by the tree that dissolved into this
-    /// scratch (see [`IncrementalSpt::into_scratch`]), or `None` for an
-    /// unreachable or out-of-range node. Lets a caller that parks many
-    /// per-source trees as scratches (the eval layer's incrementally
-    /// patched baseline) query labels without rehydrating the tree.
-    pub fn distance(&self, n: NodeId) -> Option<u64> {
-        self.dist.get(n.index()).copied().flatten()
+    /// Exchanges the tree labels this scratch carries with `parked`.
+    pub fn swap_labels(&mut self, parked: &mut SptLabels) {
+        std::mem::swap(&mut self.labels, parked);
     }
 
-    /// Parent label left behind by the dissolved tree (see
-    /// [`distance`](Self::distance)).
-    pub fn parent(&self, n: NodeId) -> Option<(NodeId, LinkId)> {
-        self.parent.get(n.index()).copied().flatten()
+    /// Exchanges this scratch's removed-link mask with `mask`.
+    pub fn swap_removed(&mut self, mask: &mut LinkMask) {
+        std::mem::swap(&mut self.removed, mask);
     }
 
-    /// Returns true when the dissolved tree had removed link `l` from its
-    /// view (out-of-range ids read as not removed).
-    pub fn is_removed(&self, l: LinkId) -> bool {
-        self.removed.get(l.index()).copied().unwrap_or(false)
+    fn is_marked(&self, n: NodeId) -> bool {
+        self.marked.get(n.index()).copied().unwrap_or(false)
+    }
+
+    /// Marks `n` and appends it to `rerouted` unless already marked.
+    fn mark(&mut self, n: NodeId) {
+        if let Some(m) = self.marked.get_mut(n.index()) {
+            if !*m {
+                *m = true;
+                self.rerouted.push(n);
+            }
+        }
+    }
+
+    /// Starts an update: empties `rerouted` and the heap, and sizes the
+    /// marks for `n` nodes (all clear between updates).
+    fn begin(&mut self, n: usize) {
+        self.rerouted.clear();
+        self.heap.clear();
+        if self.marked.len() != n {
+            self.marked.clear();
+            self.marked.resize(n, false);
+        }
+    }
+
+    /// Extends `rerouted` with every descendant of its members.
+    fn close_subtrees(&mut self) {
+        let mut i = 0;
+        while let Some(&v) = self.rerouted.get(i) {
+            i += 1;
+            let mut c = self.labels.first_child(v);
+            while let Some(child) = c {
+                self.mark(child);
+                c = self.labels.next_sibling(child);
+            }
+        }
+    }
+
+    /// Clears the marks of every `rerouted` node.
+    fn unmark(&mut self) {
+        for &n in &self.rerouted {
+            if let Some(m) = self.marked.get_mut(n.index()) {
+                *m = false;
+            }
+        }
+    }
+
+    /// Sets `v`'s labels and queues it for relaxation.
+    fn settle(&mut self, v: NodeId, nd: u64, from: NodeId, l: LinkId) {
+        self.labels.set(v, Some(nd), Some((from, l)));
+        self.heap.push(Reverse((nd, v.0)));
+    }
+
+    /// The body of [`IncrementalSpt::remove_links`]; returns the labels
+    /// re-examined.
+    fn remove_links(&mut self, topo: &Topology, links: impl IntoIterator<Item = LinkId>) -> usize {
+        self.begin(topo.node_count());
+        // 1. Mark the links removed. A link already removed is never a
+        //    tree link; a cut tree link roots an affected subtree at its
+        //    child endpoint.
+        for l in links {
+            if l.index() >= topo.link_count() {
+                continue;
+            }
+            self.removed.remove(l);
+            let (a, b) = topo.link(l).endpoints();
+            for x in [a, b] {
+                if matches!(self.labels.parent(x), Some((_, pl)) if pl == l) {
+                    self.mark(x);
+                }
+            }
+        }
+        if self.rerouted.is_empty() {
+            return 0;
+        }
+
+        // 2. The affected set: the cut subtrees, found down the child
+        //    index. Invalidate exactly those labels.
+        self.close_subtrees();
+        let affected = std::mem::take(&mut self.rerouted);
+        for &v in &affected {
+            self.labels.set(v, None, None);
+        }
+        let mut touched = affected.len();
+
+        // 3. Seed each affected node from its own neighbour list: its best
+        //    usable link from the intact frontier. (The minimum under
+        //    `improves`' order is the label any scan order converges to,
+        //    and queueing only it leaves the heap's live entries as a
+        //    frontier-first scan would.)
+        for &v in &affected {
+            let mut best: Option<(u64, NodeId, LinkId)> = None;
+            for &(u, l) in topo.neighbors(v) {
+                if self.is_marked(u) || self.removed.is_removed(l) {
+                    continue;
+                }
+                let Some(du) = self.labels.distance(u) else {
+                    continue;
+                };
+                let cand = (du + u64::from(topo.cost_from(l, u)), u, l);
+                if best.is_none_or(|b| cand < b) {
+                    best = Some(cand);
+                }
+            }
+            if let Some((nd, u, l)) = best {
+                self.settle(v, nd, u, l);
+            }
+        }
+
+        // 4. Bounded Dijkstra over the affected region only.
+        while let Some(Reverse((d, u))) = self.heap.pop() {
+            let u = NodeId(u);
+            if self.labels.distance(u) != Some(d) {
+                continue;
+            }
+            touched += 1;
+            for &(v, l) in topo.neighbors(u) {
+                if !self.is_marked(v) || self.removed.is_removed(l) {
+                    continue;
+                }
+                let nd = d + u64::from(topo.cost_from(l, u));
+                if self.labels.improves(v, nd, u, l) {
+                    self.settle(v, nd, u, l);
+                }
+            }
+        }
+        self.rerouted = affected;
+        self.unmark();
+        touched
+    }
+
+    /// The body of [`IncrementalSpt::restore_links`]; returns the labels
+    /// re-examined.
+    fn restore_links(&mut self, topo: &Topology, links: impl IntoIterator<Item = LinkId>) -> usize {
+        self.begin(topo.node_count());
+        for l in links {
+            if !self.removed.is_removed(l) {
+                continue;
+            }
+            self.removed.restore(l);
+            let (a, b) = topo.link(l).endpoints();
+            for (from, to) in [(a, b), (b, a)] {
+                if let Some(df) = self.labels.distance(from) {
+                    self.relax(topo, from, df, to, l);
+                }
+            }
+        }
+
+        // Label-correcting pass: every improved node re-relaxes all its
+        // usable out-links, so improvements (including newly reachable
+        // regions behind a restored bridge) propagate to a fixpoint where
+        // no usable link improves any label — the canonical tree.
+        let mut touched = 0;
+        while let Some(Reverse((d, u))) = self.heap.pop() {
+            let u = NodeId(u);
+            if self.labels.distance(u) != Some(d) {
+                continue;
+            }
+            touched += 1;
+            for &(v, l) in topo.neighbors(u) {
+                if !self.removed.is_removed(l) {
+                    self.relax(topo, u, d, v, l);
+                }
+            }
+        }
+        // A node's path changed only if it or an ancestor took a new
+        // parent; a distance drop under the same parent always starts at
+        // such an ancestor.
+        self.close_subtrees();
+        self.unmark();
+        touched
+    }
+
+    /// Relaxes `from → to` over `l`, recording `to` in `rerouted` when it
+    /// takes a new parent.
+    fn relax(&mut self, topo: &Topology, from: NodeId, d_from: u64, to: NodeId, l: LinkId) {
+        let nd = d_from + u64::from(topo.cost_from(l, from));
+        if self.labels.improves(to, nd, from, l) {
+            if self.labels.parent(to) != Some((from, l)) {
+                self.mark(to);
+            }
+            self.settle(to, nd, from, l);
+        }
     }
 }
 
@@ -83,17 +439,8 @@ impl SptScratch {
 pub struct IncrementalSpt<'a> {
     topo: &'a Topology,
     source: NodeId,
-    dist: Vec<Option<u64>>,
-    parent: Vec<Option<(NodeId, LinkId)>>,
-    removed: Vec<bool>,
     nodes_touched: usize,
-    // Persistent repair scratch: cleared (capacity retained) by each
-    // `remove_links`/`reset`, so steady-state updates allocate nothing.
-    children: Vec<Vec<NodeId>>,
-    affected: Vec<bool>,
-    stack: Vec<NodeId>,
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
-    queue: DialQueue,
+    s: SptScratch,
 }
 
 impl<'a> IncrementalSpt<'a> {
@@ -120,15 +467,8 @@ impl<'a> IncrementalSpt<'a> {
         let mut me = IncrementalSpt {
             topo,
             source,
-            dist: scratch.dist,
-            parent: scratch.parent,
-            removed: scratch.removed,
             nodes_touched: 0,
-            children: scratch.children,
-            affected: scratch.affected,
-            stack: scratch.stack,
-            heap: scratch.heap,
-            queue: scratch.queue,
+            s: scratch,
         };
         me.reset(view, source);
         me
@@ -136,36 +476,31 @@ impl<'a> IncrementalSpt<'a> {
 
     /// Rehydrates the tree a previous [`into_scratch`](Self::into_scratch)
     /// dissolved, **without recomputation**: the labels and removed-link
-    /// state in `scratch` are adopted verbatim.
+    /// mask in `scratch` are adopted verbatim.
     ///
     /// This is the steady-state entry point of the incrementally patched
-    /// baseline: one scratch per source is parked between churn events,
-    /// resumed, patched with [`remove_links`](Self::remove_links) /
-    /// [`restore_links`](Self::restore_links), and dissolved again —
-    /// event cost proportional to the damage, not to the topology.
+    /// baseline: each source's labels are parked between churn events,
+    /// swapped into a shared scratch, resumed, patched with
+    /// [`remove_links`](Self::remove_links) /
+    /// [`restore_links`](Self::restore_links), and dissolved again. Each
+    /// patch costs the labels it changes and their neighbour lists (see
+    /// [`nodes_touched`](Self::nodes_touched)), not the topology.
     ///
     /// The caller must hand back a scratch whose labels were produced for
     /// this same `topo` and `source`; a mismatched scratch yields a tree
-    /// whose queries are garbage (though still panic-free). Labels sized
-    /// for a different topology are detected and rebuilt from scratch
-    /// against the intact view.
+    /// whose queries are garbage (though still panic-free). Labels or a
+    /// mask sized for a different topology are detected and rebuilt from
+    /// scratch against the intact view.
     pub fn resume_in(topo: &'a Topology, source: NodeId, scratch: SptScratch) -> Self {
-        let sized_for_topo = scratch.dist.len() == topo.node_count()
-            && scratch.parent.len() == topo.node_count()
-            && scratch.removed.len() == topo.link_count();
+        let sized_for_topo = scratch.labels.nodes.len() == topo.node_count()
+            && scratch.removed.link_count() == topo.link_count();
         let mut me = IncrementalSpt {
             topo,
             source,
-            dist: scratch.dist,
-            parent: scratch.parent,
-            removed: scratch.removed,
             nodes_touched: 0,
-            children: scratch.children,
-            affected: scratch.affected,
-            stack: scratch.stack,
-            heap: scratch.heap,
-            queue: scratch.queue,
+            s: scratch,
         };
+        me.s.rerouted.clear();
         if !sized_for_topo {
             me.reset(&rtr_topology::FullView, source);
         }
@@ -174,16 +509,7 @@ impl<'a> IncrementalSpt<'a> {
 
     /// Dissolves the tree into its buffer bundle for reuse by the next one.
     pub fn into_scratch(self) -> SptScratch {
-        SptScratch {
-            dist: self.dist,
-            parent: self.parent,
-            removed: self.removed,
-            children: self.children,
-            affected: self.affected,
-            stack: self.stack,
-            heap: self.heap,
-            queue: self.queue,
-        }
+        self.s
     }
 
     /// Recomputes the tree from scratch over `view`, rooted at `source`,
@@ -194,22 +520,25 @@ impl<'a> IncrementalSpt<'a> {
     /// recovery sessions, which re-root the same tree per initiator.
     pub fn reset(&mut self, view: &impl GraphView, source: NodeId) {
         self.source = source;
+        let s = &mut self.s;
         crate::dijkstra::run_raw(
             self.topo,
             view,
             source,
             None,
-            &mut self.dist,
-            &mut self.parent,
-            &mut self.queue,
+            &mut s.dist,
+            &mut s.parent,
+            &mut s.queue,
             None,
         );
-        self.removed.clear();
-        self.removed.extend(
-            self.topo
-                .link_ids()
-                .map(|l| !view.is_link_usable(self.topo, l)),
-        );
+        s.labels.load(&s.dist, &s.parent);
+        s.removed.reset(self.topo);
+        for l in self.topo.link_ids() {
+            if !view.is_link_usable(self.topo, l) {
+                s.removed.remove(l);
+            }
+        }
+        s.rerouted.clear();
         self.nodes_touched = 0;
     }
 
@@ -220,33 +549,40 @@ impl<'a> IncrementalSpt<'a> {
 
     /// Current distance to `n`, or `None` if unreachable.
     pub fn distance(&self, n: NodeId) -> Option<u64> {
-        self.dist.get(n.index()).copied().flatten()
+        self.s.labels.distance(n)
     }
 
     /// Current tree parent of `n`.
     pub fn parent(&self, n: NodeId) -> Option<(NodeId, LinkId)> {
-        self.parent.get(n.index()).copied().flatten()
+        self.s.labels.parent(n)
     }
 
     /// Returns true when `l` has been removed from this tree's view.
     pub fn is_removed(&self, l: LinkId) -> bool {
-        self.removed.get(l.index()).copied().unwrap_or(false)
+        self.s.removed.is_removed(l)
     }
 
-    /// Overwrites `n`'s tree label (no-op when out of range).
-    fn set_label(&mut self, n: NodeId, dist: Option<u64>, parent: Option<(NodeId, LinkId)>) {
-        if let Some(d) = self.dist.get_mut(n.index()) {
-            *d = dist;
-        }
-        if let Some(p) = self.parent.get_mut(n.index()) {
-            *p = parent;
-        }
-    }
-
-    /// Nodes whose labels the last `remove_links` call re-examined — the
-    /// work metric for the incremental-vs-full ablation.
+    /// Nodes whose labels the last [`remove_links`](Self::remove_links) or
+    /// [`restore_links`](Self::restore_links) call re-examined — the work
+    /// metric for the incremental-vs-full ablation. A removal counts every
+    /// invalidated label plus every repair settle; a restore counts every
+    /// settle of an improved label.
     pub fn nodes_touched(&self) -> usize {
         self.nodes_touched
+    }
+
+    /// Nodes whose tree path from the source the last
+    /// [`remove_links`](Self::remove_links) or
+    /// [`restore_links`](Self::restore_links) call may have changed, in
+    /// no particular order and without duplicates. Every other node kept
+    /// its whole path, so its first hop is unchanged.
+    ///
+    /// A removal reports the invalidated subtrees; a restore reports the
+    /// subtrees, in the repaired tree, of the nodes that took a new parent
+    /// — which covers a tie-only parent change whose descendants keep
+    /// every distance.
+    pub fn rerouted(&self) -> &[NodeId] {
+        &self.s.rerouted
     }
 
     /// Reconstructs the current shortest path to `dest`.
@@ -262,130 +598,14 @@ impl<'a> IncrementalSpt<'a> {
 
     /// Removes a batch of links and repairs the tree.
     ///
-    /// Removing a non-tree link costs nothing. Removing tree links
-    /// invalidates exactly the hanging subtrees, then repairs them with a
-    /// bounded Dijkstra seeded from the intact frontier (Narvaez
-    /// branch-pruning update).
+    /// Removing a non-tree link (or one already removed) costs nothing.
+    /// Removing tree links invalidates exactly the hanging subtrees, found
+    /// by walking down the child index, then repairs them with a bounded
+    /// Dijkstra seeded from the affected nodes' own links to the intact
+    /// frontier (Narvaez branch-pruning update). Out-of-range links are
+    /// ignored.
     pub fn remove_links(&mut self, links: impl IntoIterator<Item = LinkId>) {
-        self.nodes_touched = 0;
-        let mut tree_cut = false;
-        for l in links {
-            if !self.is_removed(l) {
-                if let Some(r) = self.removed.get_mut(l.index()) {
-                    *r = true;
-                }
-                // Is l a tree edge? (i.e. some node's parent link)
-                let (a, b) = self.topo.link(l).endpoints();
-                let is_tree = matches!(self.parent(a), Some((_, pl)) if pl == l)
-                    || matches!(self.parent(b), Some((_, pl)) if pl == l);
-                tree_cut |= is_tree;
-            }
-        }
-        if !tree_cut {
-            return;
-        }
-
-        let is_affected = |aff: &[bool], n: NodeId| aff.get(n.index()).copied().unwrap_or(false);
-        let mark_affected = |aff: &mut [bool], n: NodeId| {
-            if let Some(s) = aff.get_mut(n.index()) {
-                *s = true;
-            }
-        };
-
-        // 1. Collect the affected set: nodes whose tree path uses a removed
-        //    link. Walk children lists derived from the parent array. The
-        //    scratch buffers live on `self` (taken here, restored below) so
-        //    only their first use allocates; clearing retains capacity.
-        let n = self.topo.node_count();
-        let mut children = std::mem::take(&mut self.children);
-        let mut affected = std::mem::take(&mut self.affected);
-        let mut stack = std::mem::take(&mut self.stack);
-        let mut heap = std::mem::take(&mut self.heap);
-        if children.len() < n {
-            children.resize_with(n, Vec::new);
-        }
-        for list in children.iter_mut() {
-            list.clear();
-        }
-        for node in self.topo.node_ids() {
-            if let Some((p, _)) = self.parent(node) {
-                if let Some(list) = children.get_mut(p.index()) {
-                    list.push(node);
-                }
-            }
-        }
-        affected.clear();
-        affected.resize(n, false);
-        stack.clear();
-        for node in self.topo.node_ids() {
-            if let Some((_, pl)) = self.parent(node) {
-                if self.is_removed(pl) && !is_affected(&affected, node) {
-                    mark_affected(&mut affected, node);
-                    stack.push(node);
-                }
-            }
-        }
-        while let Some(u) = stack.pop() {
-            let kids: &[NodeId] = children.get(u.index()).map_or(&[], Vec::as_slice);
-            for &c in kids {
-                if !is_affected(&affected, c) {
-                    mark_affected(&mut affected, c);
-                    stack.push(c);
-                }
-            }
-        }
-
-        // 2. Invalidate affected labels and seed the repair heap from
-        //    usable links crossing the frontier (intact -> affected).
-        heap.clear();
-        for node in self.topo.node_ids() {
-            if is_affected(&affected, node) {
-                self.set_label(node, None, None);
-                self.nodes_touched += 1;
-            }
-        }
-        for node in self.topo.node_ids() {
-            if is_affected(&affected, node) {
-                continue;
-            }
-            let Some(du) = self.distance(node) else {
-                continue;
-            };
-            for &(v, l) in self.topo.neighbors(node) {
-                if !is_affected(&affected, v) || self.is_removed(l) {
-                    continue;
-                }
-                let nd = du + u64::from(self.topo.cost_from(l, node));
-                if self.improves(v, nd, node, l) {
-                    self.set_label(v, Some(nd), Some((node, l)));
-                    heap.push(Reverse((nd, v.0)));
-                }
-            }
-        }
-
-        // 3. Bounded Dijkstra over the affected region only.
-        while let Some(Reverse((d, u))) = heap.pop() {
-            let u = NodeId(u);
-            if self.distance(u) != Some(d) {
-                continue;
-            }
-            self.nodes_touched += 1;
-            for &(v, l) in self.topo.neighbors(u) {
-                if !is_affected(&affected, v) || self.is_removed(l) {
-                    continue;
-                }
-                let nd = d + u64::from(self.topo.cost_from(l, u));
-                if self.improves(v, nd, u, l) {
-                    self.set_label(v, Some(nd), Some((u, l)));
-                    heap.push(Reverse((nd, v.0)));
-                }
-            }
-        }
-
-        self.children = children;
-        self.affected = affected;
-        self.stack = stack;
-        self.heap = heap;
+        self.nodes_touched = self.s.remove_links(self.topo, links);
     }
 
     /// Restores a batch of previously removed links and repairs the tree
@@ -396,73 +616,14 @@ impl<'a> IncrementalSpt<'a> {
     /// toward a smaller `(parent, link)` pair), so the repair seeds a
     /// label-correcting pass from the restored links' endpoints and
     /// propagates improvements outward; nodes whose labels cannot improve
-    /// are never touched. Restoring a link that was never removed is a
+    /// are never touched. Restoring a link that is not removed is a
     /// no-op. The result is the same canonical tree a fresh build over
     /// the patched view produces: distances are unique, and every node's
     /// parent is its minimum `(NodeId, LinkId)` tight predecessor — the
-    /// invariant [`improves`](Self::remove_links) maintains everywhere,
-    /// which is what makes incremental patches byte-identical to full
-    /// rebuilds.
+    /// invariant every label write maintains, which is what makes
+    /// incremental patches byte-identical to full rebuilds.
     pub fn restore_links(&mut self, links: impl IntoIterator<Item = LinkId>) {
-        self.nodes_touched = 0;
-        let mut heap = std::mem::take(&mut self.heap);
-        heap.clear();
-        for l in links {
-            if !self.is_removed(l) {
-                continue;
-            }
-            if let Some(r) = self.removed.get_mut(l.index()) {
-                *r = false;
-            }
-            let (a, b) = self.topo.link(l).endpoints();
-            for (from, to) in [(a, b), (b, a)] {
-                let Some(df) = self.distance(from) else {
-                    continue;
-                };
-                let nd = df + u64::from(self.topo.cost_from(l, from));
-                if self.improves(to, nd, from, l) {
-                    self.set_label(to, Some(nd), Some((from, l)));
-                    heap.push(Reverse((nd, to.0)));
-                }
-            }
-        }
-
-        // Label-correcting pass: every improved node re-relaxes all its
-        // usable out-links, so improvements (including newly reachable
-        // regions behind a restored bridge) propagate to a fixpoint where
-        // no usable link improves any label — the canonical tree.
-        while let Some(Reverse((d, u))) = heap.pop() {
-            let u = NodeId(u);
-            if self.distance(u) != Some(d) {
-                continue;
-            }
-            self.nodes_touched += 1;
-            for &(v, l) in self.topo.neighbors(u) {
-                if self.is_removed(l) {
-                    continue;
-                }
-                let nd = d + u64::from(self.topo.cost_from(l, u));
-                if self.improves(v, nd, u, l) {
-                    self.set_label(v, Some(nd), Some((u, l)));
-                    heap.push(Reverse((nd, v.0)));
-                }
-            }
-        }
-        self.heap = heap;
-    }
-
-    fn improves(&self, v: NodeId, nd: u64, from: NodeId, l: LinkId) -> bool {
-        match self.distance(v) {
-            None => true,
-            Some(old) => {
-                nd < old
-                    || (nd == old
-                        && match self.parent(v) {
-                            None => true,
-                            Some((p, pl)) => (from, l) < (p, pl),
-                        })
-            }
-        }
+        self.nodes_touched = self.s.restore_links(self.topo, links);
     }
 }
 
@@ -470,7 +631,7 @@ impl<'a> IncrementalSpt<'a> {
 mod tests {
     use super::*;
     use crate::dijkstra::dijkstra;
-    use rtr_topology::{generate, LinkMask};
+    use rtr_topology::generate;
 
     /// Oracle: distances after incremental removal must equal a fresh
     /// Dijkstra over the masked view.
@@ -715,15 +876,19 @@ mod tests {
             .node_ids()
             .map(|n| (spt.distance(n), spt.parent(n)))
             .collect();
-        let scratch = spt.into_scratch();
-        // The parked scratch answers label queries directly.
+        let mut scratch = spt.into_scratch();
+        let mut parked = SptLabels::default();
+        scratch.swap_labels(&mut parked);
+        // The parked labels answer queries directly.
         for (n, &(d, p)) in topo.node_ids().zip(snapshot.iter()) {
-            assert_eq!(scratch.distance(n), d);
-            assert_eq!(scratch.parent(n), p);
+            assert_eq!(parked.distance(n), d);
+            assert_eq!(parked.parent(n), p);
         }
-        assert!(scratch.is_removed(cut[0]));
+        scratch.swap_labels(&mut parked);
         let mut resumed = IncrementalSpt::resume_in(&topo, NodeId(5), scratch);
         assert_eq!(resumed.nodes_touched(), 0, "resume never recomputes");
+        assert!(resumed.rerouted().is_empty());
+        assert!(resumed.is_removed(cut[0]));
         for (n, &(d, p)) in topo.node_ids().zip(snapshot.iter()) {
             assert_eq!(resumed.distance(n), d);
             assert_eq!(resumed.parent(n), p);
@@ -731,6 +896,38 @@ mod tests {
         // And the resumed tree keeps patching correctly.
         resumed.restore_links(cut.iter().copied());
         assert_canonical(&topo, &resumed, &[]);
+        assert_child_index_consistent(&topo, &resumed);
+    }
+
+    #[test]
+    fn shared_scratch_patches_parked_trees_over_a_lent_mask() {
+        // Two parked trees patched in turn through one scratch whose
+        // removed-link mask is lent in, as the churn baseline does.
+        let topo = generate::isp_like(30, 70, 2000.0, 8).unwrap();
+        let cut: Vec<LinkId> = topo.link_ids().step_by(5).collect();
+        let mut mask = LinkMask::from_links(&topo, cut.iter().copied());
+        let mut parked: Vec<SptLabels> = [NodeId(1), NodeId(20)]
+            .into_iter()
+            .map(|u| {
+                let mut s = IncrementalSpt::new(&topo, u).into_scratch();
+                let mut labels = SptLabels::default();
+                s.swap_labels(&mut labels);
+                labels
+            })
+            .collect();
+        let mut work = SptScratch::default();
+        work.swap_removed(&mut mask);
+        for (labels, u) in parked.iter_mut().zip([NodeId(1), NodeId(20)]) {
+            work.swap_labels(labels);
+            let mut tree = IncrementalSpt::resume_in(&topo, u, work);
+            tree.remove_links(cut.iter().copied());
+            assert_canonical(&topo, &tree, &cut);
+            assert_child_index_consistent(&topo, &tree);
+            work = tree.into_scratch();
+            work.swap_labels(labels);
+        }
+        work.swap_removed(&mut mask);
+        assert_eq!(mask, LinkMask::from_links(&topo, cut.iter().copied()));
     }
 
     #[test]
@@ -755,5 +952,107 @@ mod tests {
         }
         // Source reachable from itself even with the whole star cut.
         assert_eq!(spt.path_to(NodeId(0)).unwrap().hops(), 0);
+    }
+
+    /// Every node sits in exactly its parent's child list, and every
+    /// child list holds exactly the nodes naming that parent.
+    fn assert_child_index_consistent(topo: &Topology, spt: &IncrementalSpt<'_>) {
+        let labels = &spt.s.labels;
+        assert_eq!(labels.nodes.len(), topo.node_count());
+        for p in topo.node_ids() {
+            let mut listed = Vec::new();
+            let mut c = labels.first_child(p);
+            while let Some(child) = c {
+                listed.push(child);
+                c = labels.next_sibling(child);
+            }
+            listed.sort_unstable();
+            let expect: Vec<NodeId> = topo
+                .node_ids()
+                .filter(|&v| matches!(labels.parent(v), Some((q, _)) if q == p))
+                .collect();
+            assert_eq!(listed, expect, "children of {p}");
+        }
+    }
+
+    /// The first link of the tree path from the source to `t`.
+    fn first_hop(spt: &IncrementalSpt<'_>, t: NodeId) -> Option<LinkId> {
+        let mut cur = t;
+        let mut hop = None;
+        while cur != spt.source() {
+            let (p, l) = spt.parent(cur)?;
+            hop = Some(l);
+            cur = p;
+        }
+        hop
+    }
+
+    #[test]
+    fn child_index_and_rerouted_track_every_update() {
+        let topo = generate::isp_like(40, 95, 2000.0, 31).unwrap();
+        let mut spt = IncrementalSpt::new(&topo, NodeId(4));
+        assert_child_index_consistent(&topo, &spt);
+        let mut down: Vec<LinkId> = Vec::new();
+        for (i, l) in topo.link_ids().enumerate() {
+            let before: Vec<_> = topo.node_ids().map(|t| first_hop(&spt, t)).collect();
+            if i % 3 == 2 {
+                let repaired: Vec<LinkId> = down.drain(..down.len() / 2).collect();
+                spt.restore_links(repaired);
+            } else {
+                down.push(l);
+                spt.remove_links([l]);
+            }
+            assert_canonical(&topo, &spt, &down);
+            assert_child_index_consistent(&topo, &spt);
+            let rerouted = spt.rerouted();
+            let mut unique = rerouted.to_vec();
+            unique.sort_unstable();
+            unique.dedup();
+            assert_eq!(unique.len(), rerouted.len(), "rerouted has duplicates");
+            for t in topo.node_ids() {
+                if first_hop(&spt, t) != before[t.index()] {
+                    assert!(rerouted.contains(&t), "{t} changed first hop unreported");
+                }
+            }
+            assert!(spt.s.marked.iter().all(|&m| !m), "marks left set");
+        }
+    }
+
+    #[test]
+    fn tie_only_restore_reroutes_the_whole_subtree() {
+        // 0-2-3-4 with a bypass 0-1-3 of equal length: restoring 1-3 moves
+        // node 3 to the smaller parent 1 at the same distance, so node 4
+        // keeps its distance and parent yet changes first hop.
+        let mut b = Topology::builder();
+        for i in 0..5 {
+            b.add_node((f64::from(i), 0.0));
+        }
+        let l02 = b.add_link(NodeId(0), NodeId(2), 1).unwrap();
+        let _l23 = b.add_link(NodeId(2), NodeId(3), 1).unwrap();
+        let l01 = b.add_link(NodeId(0), NodeId(1), 1).unwrap();
+        let l13 = b.add_link(NodeId(1), NodeId(3), 1).unwrap();
+        let _l34 = b.add_link(NodeId(3), NodeId(4), 1).unwrap();
+        let topo = b.build().unwrap();
+        let mut spt = IncrementalSpt::new(&topo, NodeId(0));
+        spt.remove_links([l13]);
+        assert_eq!(first_hop(&spt, NodeId(4)), Some(l02));
+        spt.restore_links([l13]);
+        assert_canonical(&topo, &spt, &[]);
+        assert_eq!(spt.distance(NodeId(4)), Some(3));
+        assert_eq!(first_hop(&spt, NodeId(4)), Some(l01));
+        let mut rerouted = spt.rerouted().to_vec();
+        rerouted.sort_unstable();
+        assert_eq!(rerouted, vec![NodeId(3), NodeId(4)]);
+    }
+
+    #[test]
+    fn out_of_range_links_are_ignored() {
+        let topo = generate::grid(3, 3, 10.0);
+        let mut spt = IncrementalSpt::new(&topo, NodeId(0));
+        spt.remove_links([LinkId(999)]);
+        assert_eq!(spt.nodes_touched(), 0);
+        spt.restore_links([LinkId(999)]);
+        assert_eq!(spt.nodes_touched(), 0);
+        assert_canonical(&topo, &spt, &[]);
     }
 }

@@ -394,6 +394,11 @@ impl LinkMask {
         self.removed.get(l.index()).copied().unwrap_or(false)
     }
 
+    /// Number of links the mask is sized for (its topology's link count).
+    pub fn link_count(&self) -> usize {
+        self.removed.len()
+    }
+
     /// Number of removed links.
     pub fn removed_count(&self) -> usize {
         self.removed.iter().filter(|&&r| r).count()

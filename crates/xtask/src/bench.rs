@@ -43,7 +43,7 @@ pub const SERVE_SCHEMA: &str = "bench-serve-v1";
 pub const CHURN_SCHEMA: &str = "bench-churn-v1";
 
 /// Minimum timeline workloads a full (non-smoke) `BENCH_churn.json`
-/// must carry (the recorder sweeps two churn twins plus a moving front).
+/// must carry (the recorder sweeps two churn twins plus two moving fronts).
 pub const CHURN_MIN_POINTS: usize = 2;
 
 /// Minimum best-multi-worker over one-worker throughput ratio (saturated,

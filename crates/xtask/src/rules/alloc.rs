@@ -1,9 +1,11 @@
 //! Allocation discipline: a configured list of steady-state functions —
 //! the phase-1 sweep, the phase-2 walk, the recovery entry points, and the
-//! queue and mask-probe inner loops — must not lexically contain allocating
-//! constructors. The static list is cross-checked by the dynamic
-//! counting-`GlobalAlloc` test in `crates/core/tests/alloc_discipline.rs`,
-//! which proves zero allocations per recovery after warm-up.
+//! queue and mask-probe inner loops, the incremental SPT repairs and the
+//! churn patch — must not lexically contain allocating constructors. The
+//! static list is cross-checked by the dynamic counting-`GlobalAlloc` tests
+//! in `crates/core/tests/alloc_discipline.rs` (zero allocations per
+//! recovery after warm-up) and `crates/eval/tests/apply_event_alloc.rs`
+//! (zero allocations per churn event after warm-up).
 //!
 //! The check is shallow (one function body, no call-graph transitivity):
 //! it catches the overwhelmingly common regression — someone reaching for
@@ -17,7 +19,7 @@ use std::collections::BTreeSet;
 /// The steady-state functions held to zero lexical allocations, as
 /// `(workspace-relative file, fn name)`. Every same-named non-test `fn`
 /// in the file is checked.
-pub const STEADY_STATE_FNS: [(&str, &str); 13] = [
+pub const STEADY_STATE_FNS: [(&str, &str); 16] = [
     // Phase-1 sweep: next-hop selection and crossing-mask exclusion.
     ("crates/core/src/sweep.rs", "select_next_hop"),
     ("crates/core/src/sweep.rs", "is_excluded"),
@@ -35,6 +37,10 @@ pub const STEADY_STATE_FNS: [(&str, &str); 13] = [
     // Dijkstra queue inner ops (Dial's bucket queue).
     ("crates/routing/src/dial.rs", "push"),
     ("crates/routing/src/dial.rs", "pop"),
+    // Incremental SPT repairs and the churn patch that drives them.
+    ("crates/routing/src/spt.rs", "remove_links"),
+    ("crates/routing/src/spt.rs", "restore_links"),
+    ("crates/eval/src/churn.rs", "apply_event_traced"),
     // Bitset membership and the batched crossing-mask probe.
     ("crates/topology/src/bitset.rs", "contains"),
     ("crates/topology/src/bitset.rs", "intersects_words"),

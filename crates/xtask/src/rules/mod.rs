@@ -122,7 +122,7 @@ pub const RULES: &[RuleInfo] = &[
         name: "alloc-discipline",
         family: "allocation",
         scope: "configured steady-state functions",
-        rationale: "steady-state recovery (sweep, walk, recover) must not allocate after warm-up; cross-checked by the counting-allocator test in crates/core/tests/alloc_discipline.rs",
+        rationale: "steady-state recovery (sweep, walk, recover) and churn patching (SPT repairs, `apply_event`) must not allocate after warm-up; cross-checked by the counting-allocator tests in crates/core/tests/alloc_discipline.rs and crates/eval/tests/apply_event_alloc.rs",
     },
     RuleInfo {
         name: "stale-allow",
